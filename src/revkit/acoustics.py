@@ -65,8 +65,7 @@ def edc(h: Waveform) -> EdcCurve:
     return EdcCurve(energy, db)
 
 
-def estimate_rt60(h: Waveform, fs: int | None = None,
-                  start_window_db: float = 5.0,
+def estimate_rt60(h: Waveform, start_window_db: float = 5.0,
                   max_start_delay: float = 0.05,
                   end_drop_db: float = 5.0,
                   start_stride: float = 0.001) -> AcousticParams:
@@ -77,8 +76,6 @@ def estimate_rt60(h: Waveform, fs: int | None = None,
     h : Waveform
         Impulse response with a detectable direct-path peak (global
         absolute maximum).
-    fs : int, optional
-        Sample rate override; defaults to the waveform's.
     start_window_db, max_start_delay, end_drop_db : float
         Fitting heuristics: candidate fit starts lie between the sample
         where the decay curve is ``start_window_db`` below its value at
@@ -93,8 +90,7 @@ def estimate_rt60(h: Waveform, fs: int | None = None,
     InsufficientDecayError
         If no candidate segment achieves the required decay.
     """
-    if fs is None:
-        fs = h.sample_rate
+    fs = h.sample_rate
     curve = edc(h)
     db = curve.db
     n = db.size
@@ -137,8 +133,7 @@ def estimate_rt60(h: Waveform, fs: int | None = None,
                           pearson_r=float(r))
 
 
-def estimate_drr(h: Waveform, fs: int | None = None,
-                 direct_window: float = 0.0025,
+def estimate_drr(h: Waveform, direct_window: float = 0.0025,
                  cap_db: float = DRR_CAP_DB,
                  power_floor: float = 1e-10) -> AcousticParams:
     """Direct-to-reverberant energy ratio in dB.
@@ -148,11 +143,9 @@ def estimate_drr(h: Waveform, fs: int | None = None,
     reverberant energy falls below ``power_floor`` the configured cap is
     returned (an isolated impulse has no meaningful finite DRR).
     """
-    if fs is None:
-        fs = h.sample_rate
     x = h.samples
     peak = int(np.argmax(np.abs(x)))
-    spread = int(round(direct_window * fs))
+    spread = int(round(direct_window * h.sample_rate))
     a = max(0, peak - spread)
     b = min(x.size, peak + spread + 1)
     direct = float(np.sum(x[a:b] ** 2))

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: dereverb, identify-rir, rt60, drr, simulate, eval.
-All pipeline knobs live in a flat key = value config file (``--config``),
-each overridable by a flag; ``--dump-config`` writes the effective
-configuration. Runs are deterministic given inputs, config and seed.
+All pipeline knobs live in a flat key = value config file (``--config``);
+the engine's iteration count, filter length, smoothing and skipped bands,
+plus threads and seed, are also flags that win over the file.
+``--dump-config`` writes the effective configuration. Runs are
+deterministic given inputs, config and seed.
 """
 
 from __future__ import annotations
@@ -119,15 +121,20 @@ def _load_prior(args, observed: stft.Spectrogram,
     return prior.from_magnitude(mag, floor=cfg.power_floor)
 
 
-def _write_trace(path, trace: np.ndarray) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iter", "band", "loglik"])
-        iters, bands = trace.shape
-        for it in range(iters):
-            for f in range(bands):
-                if np.isfinite(trace[it, f]):
-                    writer.writerow([it, f, repr(float(trace[it, f]))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_trace(path, trace: np.ndarray) -> None:
+    iters, bands = trace.shape
+    _write_csv(path, ["iter", "band", "loglik"], (
+        [it, f, repr(float(trace[it, f]))]
+        for it in range(iters) for f in range(bands)
+        if np.isfinite(trace[it, f])
+    ))
 
 
 def _run_vem(args, cfg: PipelineConfig):
@@ -186,22 +193,19 @@ def cmd_identify_rir(args) -> int:
     drr_db = acoustics.estimate_drr(est.waveform).drr
     timings["parameters"] = time.perf_counter() - t0
 
-    with open(args.params, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rt60_s", "drr_db", "pearson_r", "fit_start",
-                         "fit_end", "direct_index"])
-        writer.writerow([rt60_s, drr_db, pearson, fit_start, fit_end,
-                         est.direct_index])
+    _write_csv(args.params, ["rt60_s", "drr_db", "pearson_r", "fit_start",
+                             "fit_end", "direct_index"],
+               [[rt60_s, drr_db, pearson, fit_start, fit_end,
+                 est.direct_index]])
 
     outputs = [args.output, args.params]
     if args.ctf_csv is not None:
-        with open(args.ctf_csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["band", "tap", "re", "im"])
-            for f in range(H_hat.h.shape[0]):
-                for l in range(H_hat.h.shape[1]):
-                    writer.writerow([f, l, repr(float(H_hat.h[f, l].real)),
-                                     repr(float(H_hat.h[f, l].imag))])
+        F, L = H_hat.h.shape
+        _write_csv(args.ctf_csv, ["band", "tap", "re", "im"], (
+            [f, l, repr(float(H_hat.h[f, l].real)),
+             repr(float(H_hat.h[f, l].imag))]
+            for f in range(F) for l in range(L)
+        ))
         outputs.append(args.ctf_csv)
 
     inputs = [args.input] + ([args.oracle] if args.oracle else [args.prior])
@@ -211,53 +215,42 @@ def cmd_identify_rir(args) -> int:
     return 0
 
 
-def _params_batch(paths, estimator) -> list[tuple[str, acoustics.AcousticParams | str]]:
-    results = []
-    for p in paths:
-        wave = wavio.read_wav(p)
-        try:
-            results.append((str(p), estimator(wave)))
-        except acoustics.InsufficientDecayError as exc:
-            results.append((str(p), str(exc)))
-    return results
+def _params_batch(args, estimator, columns, describe) -> int:
+    """Shared rt60 / drr loop: one stdout line and one CSV row per input.
 
-
-def cmd_rt60(args) -> int:
-    results = _params_batch(args.inputs, acoustics.estimate_rt60)
+    ``columns`` maps CSV column names to ``AcousticParams`` fields. An
+    input without enough decay gets blank fields and exit status 1.
+    """
     rows = []
     status = 0
-    for path, res in results:
-        if isinstance(res, str):
-            print(f"{path}: {res}")
-            rows.append([path, "", "", "", ""])
+    for p in args.inputs:
+        try:
+            res = estimator(wavio.read_wav(p))
+        except acoustics.InsufficientDecayError as exc:
+            print(f"{p}: {exc}")
+            rows.append([str(p)] + [""] * len(columns))
             status = 1
-        else:
-            print(f"{path}: rt60={res.rt60:.4f} s pearson_r={res.pearson_r:.5f} "
-                  f"fit_start={res.fit_start} fit_end={res.fit_end}")
-            rows.append([path, res.rt60, res.pearson_r, res.fit_start,
-                         res.fit_end])
+            continue
+        print(f"{p}: {describe(res)}")
+        rows.append([str(p)] + [getattr(res, k) for k in columns.values()])
     if args.csv is not None:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "rt60_s", "pearson_r", "fit_start",
-                             "fit_end"])
-            writer.writerows(rows)
+        _write_csv(args.csv, ["path", *columns], rows)
     return status
 
 
+def cmd_rt60(args) -> int:
+    return _params_batch(
+        args, acoustics.estimate_rt60,
+        {"rt60_s": "rt60", "pearson_r": "pearson_r",
+         "fit_start": "fit_start", "fit_end": "fit_end"},
+        lambda r: f"rt60={r.rt60:.4f} s pearson_r={r.pearson_r:.5f} "
+                  f"fit_start={r.fit_start} fit_end={r.fit_end}",
+    )
+
+
 def cmd_drr(args) -> int:
-    rows = []
-    for p in args.inputs:
-        wave = wavio.read_wav(p)
-        res = acoustics.estimate_drr(wave)
-        print(f"{p}: drr={res.drr:.4f} dB")
-        rows.append([str(p), res.drr])
-    if args.csv is not None:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path", "drr_db"])
-            writer.writerows(rows)
-    return 0
+    return _params_batch(args, acoustics.estimate_drr, {"drr_db": "drr"},
+                         lambda r: f"drr={r.drr:.4f} dB")
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -310,12 +303,9 @@ def cmd_simulate(args) -> int:
                              files["rir"].name])
                 case += 1
 
-    with open(outdir / "manifest.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "rt60_s", "drr_db", "snr_db", "seed",
-                         "reverb_wav", "direct_wav", "rir_wav"])
-        writer.writerows(rows)
+    _write_csv(outdir / "manifest.csv",
+               ["case", "rt60_s", "drr_db", "snr_db", "seed",
+                "reverb_wav", "direct_wav", "rir_wav"], rows)
     print(f"wrote {case} case(s) to {outdir}")
     return 0
 
@@ -348,16 +338,12 @@ def cmd_eval(args) -> int:
     print(f"rt60: mae={report.rt60_mae:.4f} s rmse={report.rt60_rmse:.4f} s")
     print(f"drr:  mae={report.drr_mae:.4f} dB rmse={report.drr_rmse:.4f} dB")
     if args.csv is not None:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["item", "rt60_error_s", "drr_error_db"])
-            for i, (er, ed) in enumerate(zip(report.rt60_errors,
-                                             report.drr_errors)):
-                writer.writerow([i, repr(float(er)), repr(float(ed))])
-            writer.writerow(["mae", repr(report.rt60_mae),
-                             repr(report.drr_mae)])
-            writer.writerow(["rmse", repr(report.rt60_rmse),
-                             repr(report.drr_rmse)])
+        rows = [[i, repr(float(er)), repr(float(ed))]
+                for i, (er, ed) in enumerate(zip(report.rt60_errors,
+                                                 report.drr_errors))]
+        rows.append(["mae", repr(report.rt60_mae), repr(report.drr_mae)])
+        rows.append(["rmse", repr(report.rt60_rmse), repr(report.drr_rmse)])
+        _write_csv(args.csv, ["item", "rt60_error_s", "drr_error_db"], rows)
     return 0
 
 

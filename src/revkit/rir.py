@@ -20,7 +20,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .stft import Spectrogram, StftConfig, Waveform, forward, inverse
-from .vem import CtfFilter
+from .vem import CtfFilter, _ctf_conv
 
 
 @dataclass
@@ -158,9 +158,7 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
     # synthesis is exact (edge frames are divided by a vanishing window
     # sum and would blow up).
     guard = stft_cfg.win_length // stft_cfg.hop
-    Y = np.zeros((h.shape[0], T + L - 1 + 2 * guard), dtype=np.complex128)
-    for l in range(L):
-        Y[:, guard + l: guard + l + T] += h_used[:, l: l + 1] * E.data
+    Y = np.pad(_ctf_conv(h_used, E.data), ((0, 0), (guard, guard)))
     y = inverse(Spectrogram(Y, stft_cfg, scale=E.scale,
                             sample_rate=sweep.sample_rate))
 

@@ -47,17 +47,12 @@ class StftConfig:
 
     win_length: int = 512
     hop: int = 128
-    fft_size: int | None = None
 
     def __post_init__(self):
-        if self.fft_size is None:
-            self.fft_size = self.win_length
         if self.win_length < 2 or self.hop < 1:
             raise ValueError("window and hop must be positive")
         if self.win_length % self.hop != 0:
             raise ValueError("hop must divide win_length")
-        if self.fft_size != self.win_length:
-            raise ValueError("fft_size must equal win_length")
 
     @property
     def window(self) -> np.ndarray:
@@ -65,7 +60,7 @@ class StftConfig:
 
     @property
     def num_bins(self) -> int:
-        return self.fft_size // 2 + 1
+        return self.win_length // 2 + 1
 
 
 @dataclass
@@ -128,7 +123,7 @@ def forward(wave: Waveform, cfg: StftConfig | None = None,
 
     Returns
     -------
-    Spectrogram with shape (fft_size // 2 + 1, num_frames).
+    Spectrogram with shape (win_length // 2 + 1, num_frames).
     """
     if cfg is None:
         cfg = StftConfig()
@@ -141,18 +136,23 @@ def forward(wave: Waveform, cfg: StftConfig | None = None,
             scale = peak
             x = x / scale
     frames = sliding_window_view(x, cfg.win_length)[:: cfg.hop][:T]
-    spec = np.fft.rfft(frames * cfg.window, n=cfg.fft_size, axis=1)
+    spec = np.fft.rfft(frames * cfg.window, n=cfg.win_length, axis=1)
     return Spectrogram(spec.T, cfg, scale=scale, sample_rate=wave.sample_rate)
 
 
-def synthesis_norm(num_frames: int, cfg: StftConfig) -> np.ndarray:
-    """Overlap-added squared synthesis window, computed numerically."""
-    out_len = (num_frames - 1) * cfg.hop + cfg.win_length
-    w2 = cfg.window ** 2
-    wsum = np.zeros(out_len)
-    for t in range(num_frames):
-        wsum[t * cfg.hop: t * cfg.hop + cfg.win_length] += w2
-    return wsum
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum (T, win) frames placed ``hop`` apart; length (T - 1) * hop + win.
+
+    Works one hop-sized block shift at a time, largest shift first, so
+    every output sample adds its frames in ascending frame order.
+    """
+    T, win = frames.shape
+    shifts = win // hop
+    blocks = frames.reshape(T, shifts, hop)
+    acc = np.zeros((T - 1 + shifts, hop))
+    for m in range(shifts - 1, -1, -1):
+        acc[m: m + T] += blocks[:, m]
+    return acc.reshape(-1)
 
 
 def inverse(spec: Spectrogram) -> Waveform:
@@ -162,13 +162,10 @@ def inverse(spec: Spectrogram) -> Waveform:
     overlap-added window power vanishes (the very signal edges) are zero.
     """
     cfg = spec.config
-    T = spec.num_frames
-    frames = np.fft.irfft(spec.data.T, n=cfg.fft_size, axis=1)
+    frames = np.fft.irfft(spec.data.T, n=cfg.win_length, axis=1)
     frames *= cfg.window
-    out_len = (T - 1) * cfg.hop + cfg.win_length
-    acc = np.zeros(out_len)
-    for t in range(T):
-        acc[t * cfg.hop: t * cfg.hop + cfg.win_length] += frames[t]
-    wsum = synthesis_norm(T, cfg)
+    acc = _overlap_add(frames, cfg.hop)
+    w2 = np.broadcast_to(cfg.window ** 2, frames.shape)
+    wsum = _overlap_add(w2, cfg.hop)
     out = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 1e-12)
     return Waveform(out * spec.scale, spec.sample_rate)

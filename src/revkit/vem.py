@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .prior import DEFAULT_POWER_FLOOR, PriorPrecision
 from .stft import Spectrogram
@@ -127,22 +126,17 @@ class VemConfig:
 
 @dataclass
 class VemState:
-    """Mutable engine state plus per-band best-snapshot bookkeeping."""
+    """Mutable engine state: posterior, filter and noise precision."""
 
     posterior: Posterior
     filter: CtfFilter
     noise: NoisePrecision
-    loglik_trace: list = field(default_factory=list)
-    best_loglik: np.ndarray | None = None
-    best_mu: np.ndarray | None = None
-    best_h: np.ndarray | None = None
-    solver_warnings: int = 0
 
 
 # ---------------------------------------------------------------------------
 # Array kernels. All operate on (F, T) rows independently.
 
-def _init_arrays(X, alpha, cfg):
+def _init_arrays(X, cfg):
     power = X.real ** 2 + X.imag ** 2
     gamma = 1.0 / np.maximum(power, cfg.power_floor)
     mu = np.zeros_like(X)
@@ -153,6 +147,21 @@ def _init_arrays(X, alpha, cfg):
     return mu, gamma, h, delta
 
 
+def _ctf_conv(h, S):
+    """Full-length frame-axis convolution Y(t) = sum_l h_l S(t - l).
+
+    h is (F, L), S is (F, T); the result is (F, T + L - 1) so the filter
+    tail is kept. Works for complex taps on means and for real |h|^2 on
+    variances alike.
+    """
+    F, T = S.shape
+    L = h.shape[1]
+    Y = np.zeros((F, T + L - 1), dtype=np.result_type(h, S))
+    for l in range(L):
+        Y[:, l: l + T] += h[:, l: l + 1] * S
+    return Y
+
+
 def _e_step_arrays(X, alpha, mu_pre, gamma_pre, h, delta, lam):
     F, T = X.shape
     L = h.shape[1]
@@ -161,9 +170,8 @@ def _e_step_arrays(X, alpha, mu_pre, gamma_pre, h, delta, lam):
 
     # Residual of the previous means against the (zero-extended)
     # observation: R(tau) = X(tau) - sum_l H_l mu_pre(tau - l).
-    resid = np.zeros((F, T + L - 1), dtype=np.complex128)
-    for l in range(L):
-        resid[:, l: l + T] -= h[:, l: l + 1] * mu_pre
+    resid = _ctf_conv(h, mu_pre)
+    np.negative(resid, out=resid)
     resid[:, :T] += X
 
     # sum_l H_l^* [X(t+l) - sum_{l' != l} H_l' mu_pre(t+l-l')]
@@ -186,25 +194,21 @@ def _gram_windows(mu, var, L):
     Entries follow the S-vector layout (oldest first): with w_i(t) =
     mu(t - L + 1 + i) zero-padded on the left,
     G[i, j] = sum_t w_i(t) w_j(t)* + [i == j] sum_t var(t - L + 1 + i).
-    Computed from full lag correlations with tail corrections, O(F T L)
-    instead of the O(F T L^2) explicit window product.
+    Needs T >= L (callers left-pad with zero frames). Then
+    G[i, i + d] = sum_{s <= T - L + i} mu(s) mu*(s + d): a head sum over
+    s <= T - L shared by the whole diagonal plus forward cumulative
+    increments, O(F T L) instead of the O(F T L^2) window product.
     """
     F, T = mu.shape
     muc = np.conj(mu)
     G = np.zeros((F, L, L), dtype=np.complex128)
-    Z = mu[:, T - L:]
+    n = T - L + 1
     for d in range(L):
-        if d >= T:
-            break
-        c_d = np.sum(mu[:, : T - d] * muc[:, d:], axis=1)
-        # windows never reach the last L-1-i frames of the lagged product
-        diag = Z[:, : L - d] * np.conj(Z[:, d:])
-        suffix = np.cumsum(diag[:, ::-1], axis=1)[:, ::-1]
-        tail = np.concatenate(
-            [suffix[:, 1:], np.zeros((F, 1), dtype=np.complex128)], axis=1
-        )
+        head = np.sum(mu[:, :n] * muc[:, d: n + d], axis=1)
+        steps = mu[:, n: T - d] * muc[:, n + d:]
+        vals = np.cumsum(np.concatenate([head[:, None], steps], axis=1),
+                         axis=1)
         ar = np.arange(L - d)
-        vals = c_d[:, None] - tail
         G[:, ar, ar + d] = vals
         if d > 0:
             G[:, ar + d, ar] = np.conj(vals)
@@ -215,37 +219,24 @@ def _gram_windows(mu, var, L):
     return G
 
 
-def _gram_windows_small(mu, var, L):
-    """Window-product Gram for short signals (T < L)."""
-    mu_pad = np.pad(mu, ((0, 0), (L - 1, 0)))
-    W = sliding_window_view(mu_pad, L, axis=1)
-    G = np.matmul(W.transpose(0, 2, 1), W.conj())
-    var_pad = np.pad(var, ((0, 0), (L - 1, 0)))
-    dsum = sliding_window_view(var_pad, L, axis=1).sum(axis=1)
-    idx = np.arange(L)
-    G[:, idx, idx] = G[:, idx, idx].real + dsum
-    return G
-
-
 def _m_step_arrays(X, mu, gamma, L, cfg):
     F, T = X.shape
     var = 1.0 / gamma
     idx = np.arange(L)
 
-    if T >= L:
-        G = _gram_windows(mu, var, L)
-    else:
-        G = _gram_windows_small(mu, var, L)
+    # Zero frames before the start change no sum below and make T >= L.
+    # Only short inputs are padded; at T >= L the copies would be pure cost.
+    if T < L:
+        X, mu, var = (np.pad(a, ((0, 0), (L - T, 0))) for a in (X, mu, var))
+    G = _gram_windows(mu, var, L)
 
     # b[j] = sum_t X(t) mu*(t - L + 1 + j), a plain lag correlation
     muc = np.conj(mu)
+    Tp = X.shape[1]
     b = np.empty((F, L), dtype=np.complex128)
     for j in range(L):
         e = L - 1 - j
-        if e >= T:
-            b[:, j] = 0.0
-        else:
-            b[:, j] = np.sum(X[:, e:] * muc[:, : T - e], axis=1)
+        b[:, j] = np.sum(X[:, e:] * muc[:, : Tp - e], axis=1)
 
     diag_mean = np.sum(G[:, idx, idx].real, axis=1) / L
     jit = np.where(diag_mean > 0, cfg.jitter * diag_mean, 1e-30)
@@ -278,16 +269,10 @@ def _m_step_arrays(X, mu, gamma, L, cfg):
 
 
 def _loglik_arrays(X, alpha, mu, gamma, h, delta):
-    F, T = X.shape
-    L = h.shape[1]
+    T = X.shape[1]
     var = 1.0 / gamma
-    habs2 = h.real ** 2 + h.imag ** 2
-
-    pred = np.zeros((F, T), dtype=np.complex128)
-    var_pred = np.zeros((F, T))
-    for l in range(min(L, T)):
-        pred[:, l:] += h[:, l: l + 1] * mu[:, : T - l]
-        var_pred[:, l:] += habs2[:, l: l + 1] * var[:, : T - l]
+    pred = _ctf_conv(h, mu)[:, :T]
+    var_pred = _ctf_conv(h.real ** 2 + h.imag ** 2, var)[:, :T]
 
     err = X - pred
     fit = np.sum(err.real ** 2 + err.imag ** 2 + var_pred, axis=1)
@@ -301,7 +286,7 @@ def _loglik_arrays(X, alpha, mu, gamma, h, delta):
 def _run_chunk(X, alpha, cfg):
     """Full EM loop for one block of bands; returns best snapshots and trace."""
     iters = cfg.max_iters
-    mu, gamma, h, delta = _init_arrays(X, alpha, cfg)
+    mu, gamma, h, delta = _init_arrays(X, cfg)
     trace = np.empty((iters + 1, X.shape[0]))
     trace[0] = _loglik_arrays(X, alpha, mu, gamma, h, delta)
 
@@ -335,7 +320,7 @@ def init(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig) -> VemState:
         raise ValueError(
             f"observation {X.data.shape} and prior {alpha.shape} disagree"
         )
-    mu, gamma, h, delta = _init_arrays(X.data, alpha.alpha, cfg)
+    mu, gamma, h, delta = _init_arrays(X.data, cfg)
     return VemState(
         posterior=Posterior(mu, gamma),
         filter=CtfFilter(h),
@@ -361,7 +346,6 @@ def m_step(state: VemState, X: Spectrogram,
         X.data, state.posterior.mu, state.posterior.gamma, cfg.ctf_len, cfg
     )
     if n_warn:
-        state.solver_warnings += n_warn
         warnings.warn("singular Gram matrix; jitter increased", RuntimeWarning)
     return NoisePrecision(delta), CtfFilter(h)
 
@@ -420,11 +404,8 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
     def work(sl):
         return _run_chunk(X.data[sl], alpha.alpha[sl], cfg)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(sl) for sl in chunks]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(work, chunks))
 
     for sl, (best_mu, best_h, tr, w) in zip(chunks, results):
         S[sl] = best_mu

@@ -129,7 +129,7 @@ def test_energy_consistency_parseval():
     frame = wave.samples[t * cfg.hop: t * cfg.hop + cfg.win_length] * cfg.window
     col = spec.data[:, t]
     spec_energy = (np.abs(col[0]) ** 2 + np.abs(col[-1]) ** 2
-                   + 2 * np.sum(np.abs(col[1:-1]) ** 2)) / cfg.fft_size
+                   + 2 * np.sum(np.abs(col[1:-1]) ** 2)) / cfg.win_length
     assert np.isclose(spec_energy, np.sum(frame ** 2), rtol=1e-10)
 
 

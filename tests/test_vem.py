@@ -77,9 +77,8 @@ def test_e_step_confident_zero_prior():
     np.testing.assert_allclose(post.gamma, 1e18, rtol=1e-6)
 
 
-def test_e_step_matches_brute_force_multi_tap():
+def check_e_step_against_brute_force(F, T, L):
     rng = np.random.default_rng(10)
-    F, T, L = 3, 14, 4
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.2, 3.0, (F, T))
     mu_pre = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
@@ -111,6 +110,16 @@ def test_e_step_matches_brute_force_multi_tap():
             inv = lam / gamma_pre[f, t] + (1 - lam) / g_raw
             assert abs(mu_new[f, t] - (lam * mu_pre[f, t] + (1 - lam) * mu_hat)) < 1e-12
             assert abs(gamma_new[f, t] - 1.0 / inv) < 1e-12
+
+
+def test_e_step_matches_brute_force_multi_tap():
+    check_e_step_against_brute_force(3, 14, 4)
+
+
+@pytest.mark.parametrize("T, L", [(3, 5), (10, 30)])
+def test_e_step_matches_brute_force_short_input(T, L):
+    # fewer frames than taps: the filter runs past both signal ends
+    check_e_step_against_brute_force(3, T, L)
 
 
 def brute_force_m_step(Xr, mur, varr, L, jitter):
@@ -169,9 +178,8 @@ def test_m_step_identity_channel():
     assert np.max(np.abs(h[0] - h_b)) < 1e-9
 
 
-def test_m_step_matches_brute_force_general():
+def check_m_step_against_brute_force(F, T, L):
     rng = np.random.default_rng(5)
-    F, T, L = 6, 57, 5
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     mu = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     gamma = rng.uniform(0.5, 5.0, (F, T))
@@ -180,6 +188,16 @@ def test_m_step_matches_brute_force_general():
     for f in range(F):
         h_b = brute_force_m_step(X[f], mu[f], 1.0 / gamma[f], L, cfg.jitter)
         assert np.max(np.abs(h[f] - h_b)) < 1e-9
+
+
+def test_m_step_matches_brute_force_general():
+    check_m_step_against_brute_force(6, 57, 5)
+
+
+@pytest.mark.parametrize("T, L", [(3, 5), (10, 30)])
+def test_m_step_matches_brute_force_short_input(T, L):
+    # fewer frames than taps: the Gram is built on left-padded frames
+    check_m_step_against_brute_force(6, T, L)
 
 
 def test_m_step_zero_residual_hits_cap():
