@@ -70,6 +70,14 @@ def _effective_config(args) -> PipelineConfig:
         value = getattr(args, arg_name, None)
         if value is not None:
             setattr(cfg, field, value)
+    # Reject bad values before any input is read or config is dumped.
+    try:
+        cfg.stft_config()
+        cfg.vem_config()
+        if cfg.threads < 1:
+            raise ValueError("threads must be >= 1")
+    except ValueError as exc:
+        raise SystemExit(f"invalid configuration: {exc}") from None
     if args.dump_config is not None:
         text = dump_config(cfg)
         if args.dump_config == "-":

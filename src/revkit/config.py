@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, asdict
 
-from .prior import DEFAULT_POWER_FLOOR
 from .stft import StftConfig
 from .vem import VemConfig
 
@@ -18,15 +17,15 @@ from .vem import VemConfig
 class PipelineConfig:
     """Everything that determines a pipeline run besides the input files."""
 
-    win_length: int = 512
-    hop: int = 128
-    ctf_len: int = 30
-    lam: float = 0.7          # config key "lambda"
-    max_iters: int = 100
-    skip_low_bands: int = 3
-    delta_cap: float = 1e12
-    jitter: float = 1e-8
-    power_floor: float = DEFAULT_POWER_FLOOR
+    win_length: int = StftConfig.win_length
+    hop: int = StftConfig.hop
+    ctf_len: int = VemConfig.ctf_len
+    lam: float = VemConfig.ema          # config key "lambda"
+    max_iters: int = VemConfig.max_iters
+    skip_low_bands: int = VemConfig.skip_low_bands
+    delta_cap: float = VemConfig.delta_cap
+    jitter: float = VemConfig.jitter
+    power_floor: float = VemConfig.power_floor
     threads: int = 1
     seed: int = 0
 

@@ -50,7 +50,7 @@ class StftConfig:
 
     def __post_init__(self):
         if self.win_length < 2 or self.hop < 1:
-            raise ValueError("window and hop must be positive")
+            raise ValueError("win_length must be >= 2 and hop >= 1")
         if self.win_length % self.hop != 0:
             raise ValueError("hop must divide win_length")
 

@@ -19,7 +19,9 @@ observation, zero mean and zero variance everywhere.
 
 Per band, an expected complete-data log-likelihood (constants dropped) is
 tracked every iteration and the iterate with the highest value is the one
-returned, so late-iteration drift cannot degrade the output.
+returned, so late-iteration drift cannot degrade the output. Its fit
+E||X - H * S||^2 always comes from the Gram form of the M-step's normal
+equations; in the loop it is the residual the M-step already computed.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ class VemConfig:
         if self.ctf_len < 1:
             raise ValueError("ctf_len must be >= 1")
         if not 0.0 <= self.ema < 1.0:
-            raise ValueError("ema must lie in [0, 1)")
+            raise ValueError("ema (lambda) must lie in [0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.skip_low_bands < 0:
@@ -151,8 +153,8 @@ def _ctf_conv(h, S):
     """Full-length frame-axis convolution Y(t) = sum_l h_l S(t - l).
 
     h is (F, L), S is (F, T); the result is (F, T + L - 1) so the filter
-    tail is kept. Works for complex taps on means and for real |h|^2 on
-    variances alike.
+    tail is kept. Serves the E-step residual and ``rir.ctf_to_rir``; the
+    likelihood's fit comes from the M-step's normal equations instead.
     """
     F, T = S.shape
     L = h.shape[1]
@@ -219,11 +221,11 @@ def _gram_windows(mu, var, L):
     return G
 
 
-def _m_step_arrays(X, mu, gamma, L, cfg):
-    F, T = X.shape
+def _normal_equations(X, mu, gamma, L):
+    """Unregularized Gram G, right-hand side b and ||X||^2 of the per-band
+    filter normal equations, taps in S-vector (oldest-first) order."""
     var = 1.0 / gamma
-    idx = np.arange(L)
-
+    T = X.shape[1]
     # Zero frames before the start change no sum below and make T >= L.
     # Only short inputs are padded; at T >= L the copies would be pure cost.
     if T < L:
@@ -232,11 +234,28 @@ def _m_step_arrays(X, mu, gamma, L, cfg):
 
     # b[j] = sum_t X(t) mu*(t - L + 1 + j), a plain lag correlation
     muc = np.conj(mu)
-    Tp = X.shape[1]
-    b = np.empty((F, L), dtype=np.complex128)
+    b = np.empty((X.shape[0], L), dtype=np.complex128)
     for j in range(L):
         e = L - 1 - j
-        b[:, j] = np.sum(X[:, e:] * muc[:, : Tp - e], axis=1)
+        b[:, j] = np.sum(X[:, e:] * muc[:, : X.shape[1] - e], axis=1)
+    x2 = np.sum(X.real ** 2 + X.imag ** 2, axis=1)
+    return G, b, x2
+
+
+def _fit(G, b, x2, hv):
+    """Expected residual E||X - H * S||^2 = ||X||^2 - 2 Re<hv, b> + hv G hv^H
+    at oldest-first taps hv, non-negative as G is unregularized."""
+    cross = 2.0 * np.real(np.sum(hv * np.conj(b), axis=1))
+    quad = np.real(
+        np.matmul(hv[:, None, :], np.matmul(G, np.conj(hv)[..., None]))
+    )[:, 0, 0]
+    return np.maximum(x2 - cross + quad, 0.0)
+
+
+def _m_step_arrays(X, mu, gamma, L, cfg):
+    T = X.shape[1]
+    idx = np.arange(L)
+    G, b, x2 = _normal_equations(X, mu, gamma, L)
 
     diag_mean = np.sum(G[:, idx, idx].real, axis=1) / L
     jit = np.where(diag_mean > 0, cfg.jitter * diag_mean, 1e-30)
@@ -252,35 +271,26 @@ def _m_step_arrays(X, mu, gamma, L, cfg):
         Gj[:, idx, idx] += (1e6 * jit + 1e-12)[:, None]
         hv = np.linalg.solve(np.conj(Gj), b[..., None])[..., 0]
 
-    # Noise precision from the expected residual at the new filter. The
-    # unregularized Gram keeps the residual a true (non-negative) expectation.
-    x2 = np.sum(X.real ** 2 + X.imag ** 2, axis=1)
-    cross = 2.0 * np.real(np.sum(hv * np.conj(b), axis=1))
-    quad = np.real(
-        np.matmul(hv[:, None, :], np.matmul(G, np.conj(hv)[..., None]))
-    )[:, 0, 0]
-    residual = np.maximum(x2 - cross + quad, 0.0)
+    # Noise precision from the expected residual at the new filter.
+    residual = _fit(G, b, x2, hv)
     with np.errstate(divide="ignore"):
         delta = np.where(residual > 0.0, T / residual, np.inf)
     delta = np.minimum(delta, cfg.delta_cap)
 
     h_new = hv[:, ::-1].copy()  # back to lag order, h[:, 0] = current tap
-    return delta, h_new, n_warn
+    return delta, h_new, n_warn, residual
+
+
+def _loglik_from_fit(alpha, mu, gamma, delta, fit):
+    """T log delta - delta * fit plus the prior term, per band."""
+    power = mu.real ** 2 + mu.imag ** 2 + 1.0 / gamma
+    prior_term = np.sum(np.log(alpha) - alpha * power, axis=1)
+    return mu.shape[1] * np.log(delta) - delta * fit + prior_term
 
 
 def _loglik_arrays(X, alpha, mu, gamma, h, delta):
-    T = X.shape[1]
-    var = 1.0 / gamma
-    pred = _ctf_conv(h, mu)[:, :T]
-    var_pred = _ctf_conv(h.real ** 2 + h.imag ** 2, var)[:, :T]
-
-    err = X - pred
-    fit = np.sum(err.real ** 2 + err.imag ** 2 + var_pred, axis=1)
-    obs_term = T * np.log(delta) - delta * fit
-    prior_term = np.sum(
-        np.log(alpha) - alpha * (mu.real ** 2 + mu.imag ** 2 + var), axis=1
-    )
-    return obs_term + prior_term
+    fit = _fit(*_normal_equations(X, mu, gamma, h.shape[1]), h[:, ::-1])
+    return _loglik_from_fit(alpha, mu, gamma, delta, fit)
 
 
 def _run_chunk(X, alpha, cfg):
@@ -299,9 +309,9 @@ def _run_chunk(X, alpha, cfg):
         # uninformative start would wreck the initial noise precision.
         lam = cfg.ema if it > 1 else 0.0
         mu, gamma = _e_step_arrays(X, alpha, mu, gamma, h, delta, lam)
-        delta, h, w = _m_step_arrays(X, mu, gamma, cfg.ctf_len, cfg)
+        delta, h, w, fit = _m_step_arrays(X, mu, gamma, cfg.ctf_len, cfg)
         n_warn += w
-        ll = _loglik_arrays(X, alpha, mu, gamma, h, delta)
+        ll = _loglik_from_fit(alpha, mu, gamma, delta, fit)
         trace[it] = ll
         better = ll > best_ll
         best_ll = np.where(better, ll, best_ll)
@@ -342,7 +352,7 @@ def m_step(state: VemState, X: Spectrogram,
            cfg: VemConfig) -> tuple[NoisePrecision, CtfFilter]:
     """Per-band normal-equations filter update, then the noise precision
     evaluated at the new filter (clamped to (0, delta_cap])."""
-    delta, h, n_warn = _m_step_arrays(
+    delta, h, n_warn, _ = _m_step_arrays(
         X.data, state.posterior.mu, state.posterior.gamma, cfg.ctf_len, cfg
     )
     if n_warn:

@@ -76,7 +76,7 @@ def test_criterion_03_m_step_least_squares_oracle():
         X[l:] += H_true[l] * S[: T - l]
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    _, h, _ = vem._m_step_arrays(X[None, :], S[None, :], gamma, L, cfg)
+    _, h, _, _ = vem._m_step_arrays(X[None, :], S[None, :], gamma, L, cfg)
 
     # independent normal-equations construction and solve
     G = np.zeros((L, L), complex)

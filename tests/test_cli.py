@@ -108,6 +108,24 @@ def test_trace_csv(tmp_path, identity_case):
     assert all(np.isfinite(float(r["loglik"])) for r in rows)
 
 
+@pytest.mark.parametrize("file_text, flags, key", [
+    ("threads = 0\n", [], "threads"),
+    ("", ["--lambda", "1.5"], "lambda"),
+    ("", ["--skip-bands", "-1"], "skip_low_bands"),
+    ("hop = 100\n", [], "hop"),
+], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file"])
+def test_invalid_config_value_exits_before_any_output(tmp_path, identity_case,
+                                                      file_text, flags, key):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(file_text)
+    out = tmp_path / "o.wav"
+    dumped = tmp_path / "dumped.cfg"
+    with pytest.raises(SystemExit, match=key):
+        run_cli("dereverb", identity_case, out, "--oracle", identity_case,
+                "--config", cfg_path, "--dump-config", dumped, *flags)
+    assert not out.exists() and not dumped.exists()
+
+
 def test_dump_config_round_trip(tmp_path, identity_case):
     out1 = tmp_path / "o1.wav"
     out2 = tmp_path / "o2.wav"
@@ -262,6 +280,11 @@ max_iters = 7
         parse_config("bogus = 1")
     with pytest.raises(ValueError, match="bad value"):
         parse_config("ctf_len = abc")
+
+
+def test_pipeline_defaults_are_the_engine_and_transform_defaults():
+    assert PipelineConfig().vem_config() == revkit.VemConfig()
+    assert PipelineConfig().stft_config() == revkit.StftConfig()
 
 
 def test_config_dump_parses_back(tmp_path):

@@ -144,6 +144,20 @@ def brute_force_m_step(Xr, mur, varr, L, jitter):
     return hv[::-1]
 
 
+def brute_force_residual(Xr, mur, varr, h):
+    """Expected fit sum_t |X(t) - sum_l h_l mu(t-l)|^2 + sum_l |h_l|^2 var(t-l)
+    for a single band, frames before the start contributing zero."""
+    s = 0.0
+    for t in range(Xr.size):
+        pred = 0.0 + 0j
+        for l in range(h.size):
+            if t - l >= 0:
+                pred += h[l] * mur[t - l]
+                s += abs(h[l]) ** 2 * varr[t - l]
+        s += abs(Xr[t] - pred) ** 2
+    return s
+
+
 def test_m_step_recovers_known_filter_noiseless():
     # zero-variance posterior set to the exact dry signal
     rng = np.random.default_rng(3)
@@ -155,7 +169,8 @@ def test_m_step_recovers_known_filter_noiseless():
         X[l:] += H_true[l] * S[: T - l]
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    delta, h, _ = vem._m_step_arrays(X[None, :], S[None, :], gamma, L, cfg)
+    delta, h, _, _ = vem._m_step_arrays(X[None, :], S[None, :], gamma, L,
+                                        cfg)
     assert np.linalg.norm(h[0] - H_true) / np.linalg.norm(H_true) < 1e-6
     # matches the independent brute-force solve much tighter
     h_b = brute_force_m_step(X, S, np.full(T, 1e-30), L, cfg.jitter)
@@ -170,7 +185,7 @@ def test_m_step_identity_channel():
     S = rng.standard_normal(T) + 1j * rng.standard_normal(T)
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    _, h, _ = vem._m_step_arrays(S[None, :], S[None, :], gamma, L, cfg)
+    _, h, _, _ = vem._m_step_arrays(S[None, :], S[None, :], gamma, L, cfg)
     e0 = np.zeros(L, complex)
     e0[0] = 1.0
     assert np.linalg.norm(h[0] - e0) < 1e-6
@@ -184,10 +199,13 @@ def check_m_step_against_brute_force(F, T, L):
     mu = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     gamma = rng.uniform(0.5, 5.0, (F, T))
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
-    delta, h, _ = vem._m_step_arrays(X, mu, gamma, L, cfg)
+    delta, h, _, _ = vem._m_step_arrays(X, mu, gamma, L, cfg)
     for f in range(F):
         h_b = brute_force_m_step(X[f], mu[f], 1.0 / gamma[f], L, cfg.jitter)
         assert np.max(np.abs(h[f] - h_b)) < 1e-9
+        # the noise precision is T over the expected residual at the new taps
+        resid = brute_force_residual(X[f], mu[f], 1.0 / gamma[f], h[f])
+        np.testing.assert_allclose(delta[f], T / resid, rtol=1e-9)
 
 
 def test_m_step_matches_brute_force_general():
@@ -205,7 +223,7 @@ def test_m_step_zero_residual_hits_cap():
     X = np.zeros((1, 20), complex)
     mu = np.zeros((1, 20), complex)
     gamma = np.full((1, 20), 1e20)
-    delta, h, _ = vem._m_step_arrays(X, mu, gamma, 2, cfg)
+    delta, h, _, _ = vem._m_step_arrays(X, mu, gamma, 2, cfg)
     assert delta[0] == cfg.delta_cap
     assert np.all(np.isfinite(h))
 
@@ -252,6 +270,25 @@ def test_loglik_finite_for_valid_states():
     state, Xs, ap, cfg, *_ = wiener_state(14)
     ll = vem.expected_loglik(state, Xs, ap)
     assert np.all(np.isfinite(ll))
+
+
+def test_run_trace_is_likelihood_of_recorded_iterate():
+    # replay run() through the step API; with ema = 0 the public e_step
+    # blends exactly as run() does on every iteration
+    rng = np.random.default_rng(18)
+    F, T = 257, 12
+    X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
+    A = rng.uniform(0.5, 2.0, (F, T))
+    cfg = vem.VemConfig(ctf_len=3, ema=0.0, max_iters=3, skip_low_bands=0)
+    Xs, ap = tf_spectrogram(X), revkit.PriorPrecision(A)
+    _, _, trace = vem.run(Xs, ap, cfg)
+    state = vem.init(Xs, ap, cfg)
+    replay = [vem.expected_loglik(state, Xs, ap)]
+    for _ in range(cfg.max_iters):
+        state.posterior = vem.e_step(state, Xs, ap, cfg)
+        state.noise, state.filter = vem.m_step(state, Xs, cfg)
+        replay.append(vem.expected_loglik(state, Xs, ap))
+    np.testing.assert_allclose(trace[:4], np.array(replay), rtol=1e-10)
 
 
 def test_band_independence():
