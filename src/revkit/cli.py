@@ -14,13 +14,16 @@ import argparse
 import csv
 import hashlib
 import json
+import platform
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from . import acoustics, evaluate, prior, rir, simulate, stft, vem, wavio
+from . import (__version__, acoustics, evaluate, prior, rir, simulate, stft,
+               vem, wavio)
 from .config import PipelineConfig, dump_config, load_config
 
 
@@ -104,6 +107,11 @@ def _write_manifest(path, inputs, outputs, cfg, timings) -> None:
             for line in dump_config(cfg).strip().splitlines()
         },
         "timings_s": timings,
+        # FFT and BLAS output bits depend on the builds, so name them.
+        "versions": {
+            "revkit": __version__, "numpy": np.__version__,
+            "scipy": scipy.__version__, "python": platform.python_version(),
+        },
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -17,10 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import fft, ifft
 from scipy.signal import fftconvolve
 
 from .stft import Spectrogram, StftConfig, Waveform, forward, inverse
-from .vem import CtfFilter, _ctf_conv
+from .vem import CtfFilter, _spectrum
 
 
 @dataclass
@@ -156,9 +157,13 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
     # full length so the filter tail is retained. Guard frames of silence
     # keep all content inside the region of complete window overlap, where
     # synthesis is exact (edge frames are divided by a vanishing window
-    # sum and would blow up).
+    # sum and would blow up). The product is formed in place, as the sweep
+    # spectrum is the largest array of an identify-rir run.
     guard = stft_cfg.win_length // stft_cfg.hop
-    Y = np.pad(_ctf_conv(h_used, E.data), ((0, 0), (guard, guard)))
+    FY = _spectrum(E.data, L)
+    FY *= fft(h_used, FY.shape[1])
+    Y = np.pad(ifft(FY, overwrite_x=True)[:, : T + L - 1],
+               ((0, 0), (guard, guard)))
     y = inverse(Spectrogram(Y, stft_cfg, scale=E.scale,
                             sample_rate=sweep.sample_rate))
 

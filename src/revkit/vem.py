@@ -17,6 +17,12 @@ can be chunked over worker threads without changing any result.
 Boundary convention: frame indices outside [0, T) contribute zero
 observation, zero mean and zero variance everywhere.
 
+Every frame-axis sum (E-step residual and back-projection, M-step
+autocorrelation and right-hand side) is a product of FFTs of one length
+N >= T + L - 1 per block of bands, so none wraps around. X is transformed
+once per block; each posterior mean's spectrum serves the M-step after its
+E-step and the next E-step. An iteration costs O(F N log N + F L^3).
+
 Per band, an expected complete-data log-likelihood (constants dropped) is
 tracked every iteration and the iterate with the highest value is the one
 returned, so late-iteration drift cannot degrade the output. Its fit
@@ -31,6 +37,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import fft, ifft, next_fast_len, rfft
 
 from .prior import DEFAULT_POWER_FLOOR, PriorPrecision
 from .stft import Spectrogram
@@ -149,38 +157,24 @@ def _init_arrays(X, cfg):
     return mu, gamma, h, delta
 
 
-def _ctf_conv(h, S):
-    """Full-length frame-axis convolution Y(t) = sum_l h_l S(t - l).
-
-    h is (F, L), S is (F, T); the result is (F, T + L - 1) so the filter
-    tail is kept. Serves the E-step residual and ``rir.ctf_to_rir``; the
-    likelihood's fit comes from the M-step's normal equations instead.
-    """
-    F, T = S.shape
-    L = h.shape[1]
-    Y = np.zeros((F, T + L - 1), dtype=np.result_type(h, S))
-    for l in range(L):
-        Y[:, l: l + T] += h[:, l: l + 1] * S
-    return Y
+def _spectrum(a, L):
+    """Frame-axis FFT of the (F, T) rows, zero-padded to a fast length
+    N >= T + L - 1, so every product of such spectra with L taps is a
+    linear, not circular, convolution or correlation over lags 0..L-1."""
+    return fft(a, next_fast_len(a.shape[1] + L - 1))
 
 
-def _e_step_arrays(X, alpha, mu_pre, gamma_pre, h, delta, lam):
-    F, T = X.shape
-    L = h.shape[1]
+def _e_step_arrays(FX, alpha, mu_pre, Fmu, gamma_pre, h, delta, lam):
+    """FX and Fmu are the ``_spectrum`` of the observation and of mu_pre."""
+    T = mu_pre.shape[1]
     hnorm2 = np.sum(h.real ** 2 + h.imag ** 2, axis=1)
     gamma_raw = alpha + delta[:, None] * hnorm2[:, None]
 
-    # Residual of the previous means against the (zero-extended)
-    # observation: R(tau) = X(tau) - sum_l H_l mu_pre(tau - l).
-    resid = _ctf_conv(h, mu_pre)
-    np.negative(resid, out=resid)
-    resid[:, :T] += X
-
     # sum_l H_l^* [X(t+l) - sum_{l' != l} H_l' mu_pre(t+l-l')]
-    #   = sum_l H_l^* R(t+l) + ||H||^2 mu_pre(t)
-    acc = np.zeros((F, T), dtype=np.complex128)
-    for l in range(L):
-        acc += np.conj(h[:, l: l + 1]) * resid[:, l: l + T]
+    #   = sum_l H_l^* R(t+l) + ||H||^2 mu_pre(t), with the residual
+    # R = X - H * mu_pre (zero-extended) correlated against H^*.
+    Fh = fft(h, FX.shape[1])
+    acc = ifft(np.conj(Fh) * (FX - Fh * Fmu))[:, :T]
     acc += hnorm2[:, None] * mu_pre
     mu_raw = (delta[:, None] / gamma_raw) * acc
 
@@ -190,54 +184,54 @@ def _e_step_arrays(X, alpha, mu_pre, gamma_pre, h, delta, lam):
     return mu_new, 1.0 / inv_new
 
 
-def _gram_windows(mu, var, L):
+def _gram_windows(mu, Fmu, var, L):
     """Gram of the stacked-mean windows plus the variance diagonal.
 
     Entries follow the S-vector layout (oldest first): with w_i(t) =
-    mu(t - L + 1 + i) zero-padded on the left,
+    mu(t - L + 1 + i) zero outside [0, T),
     G[i, j] = sum_t w_i(t) w_j(t)* + [i == j] sum_t var(t - L + 1 + i).
-    Needs T >= L (callers left-pad with zero frames). Then
-    G[i, i + d] = sum_{s <= T - L + i} mu(s) mu*(s + d): a head sum over
-    s <= T - L shared by the whole diagonal plus forward cumulative
-    increments, O(F T L) instead of the O(F T L^2) window product.
+    The window sum G[i, i + d] = sum_{s <= T - L + i} mu(s) mu*(s + d) is
+    the full lag-d autocorrelation c_d, read off the power spectrum |Fmu|^2
+    (Fmu is the ``_spectrum`` of mu), minus the products over the last
+    L - 1 frames, a reverse cumulative sum over i. Cost O(F N log N + F L^2);
+    with the solve that follows, the M-step is O(F N log N + F L^3).
     """
     F, T = mu.shape
-    muc = np.conj(mu)
-    G = np.zeros((F, L, L), dtype=np.complex128)
-    n = T - L + 1
-    for d in range(L):
-        head = np.sum(mu[:, :n] * muc[:, d: n + d], axis=1)
-        steps = mu[:, n: T - d] * muc[:, n + d:]
-        vals = np.cumsum(np.concatenate([head[:, None], steps], axis=1),
-                         axis=1)
-        ar = np.arange(L - d)
-        G[:, ar, ar + d] = vals
-        if d > 0:
-            G[:, ar + d, ar] = np.conj(vals)
+    # c_d = sum_s mu(s) mu*(s + d); lags d >= T are zero by construction.
+    m = min(T, L)
+    c = np.zeros((F, L), dtype=np.complex128)
+    c[:, :m] = rfft(Fmu.real ** 2 + Fmu.imag ** 2)[:, :m] / Fmu.shape[1]
 
-    cv = np.cumsum(var, axis=1)
+    # With u(p) = mu(T - L + 1 + p) for p <= L - 2, zero elsewhere:
+    # K[i, d] = c_d - sum_{p >= i} u(p) u*(p + d) = G[i, i + d].
+    k = min(T, L - 1)
+    u = np.zeros((F, 2 * L - 1), dtype=np.complex128)
+    u[:, L - 1 - k: L - 1] = mu[:, T - k:]
+    K = u[:, :L, None] * sliding_window_view(np.conj(u), L, axis=1)
+    np.cumsum(K[:, ::-1], axis=1, out=K[:, ::-1])
+    np.subtract(c[:, None, :], K, out=K)
+    i, j = np.indices((L, L))
+    G = K[:, np.minimum(i, j), np.abs(j - i)]
+    np.conjugate(G, out=G, where=j < i)
+
+    cv = np.zeros((F, T + 1))
+    np.cumsum(var, axis=1, out=cv[:, 1:])
     idx = np.arange(L)
-    G[:, idx, idx] = G[:, idx, idx].real + cv[:, T - L + idx]
+    G[:, idx, idx] = G[:, idx, idx].real + cv[:, (idx + T - L + 1).clip(0)]
     return G
 
 
-def _normal_equations(X, mu, gamma, L):
+def _normal_equations(X, FX, mu, Fmu, gamma, L):
     """Unregularized Gram G, right-hand side b and ||X||^2 of the per-band
-    filter normal equations, taps in S-vector (oldest-first) order."""
-    var = 1.0 / gamma
-    T = X.shape[1]
-    # Zero frames before the start change no sum below and make T >= L.
-    # Only short inputs are padded; at T >= L the copies would be pure cost.
-    if T < L:
-        X, mu, var = (np.pad(a, ((0, 0), (L - T, 0))) for a in (X, mu, var))
-    G = _gram_windows(mu, var, L)
-
-    # b[j] = sum_t X(t) mu*(t - L + 1 + j), a plain lag correlation
-    muc = np.conj(mu)
-    b = np.empty((X.shape[0], L), dtype=np.complex128)
-    for j in range(L):
-        e = L - 1 - j
-        b[:, j] = np.sum(X[:, e:] * muc[:, : X.shape[1] - e], axis=1)
+    filter normal equations, taps in S-vector (oldest-first) order. FX and
+    Fmu are the ``_spectrum`` of X and mu."""
+    G = _gram_windows(mu, Fmu, 1.0 / gamma, L)
+    # b[j] = sum_t X(t) mu*(t - L + 1 + j), the cross-correlation at lag L-1-j
+    b = ifft(FX * np.conj(Fmu))[:, L - 1:: -1]
+    # Taps whose windows lie wholly before the first frame (T < L) get exact
+    # zeros, not FFT roundoff, which the near-singular solve would amplify.
+    k = max(L - X.shape[1], 0)
+    G[:, :k] = G[:, :, :k] = b[:, :k] = 0.0
     x2 = np.sum(X.real ** 2 + X.imag ** 2, axis=1)
     return G, b, x2
 
@@ -252,24 +246,23 @@ def _fit(G, b, x2, hv):
     return np.maximum(x2 - cross + quad, 0.0)
 
 
-def _m_step_arrays(X, mu, gamma, L, cfg):
+def _m_step_arrays(X, FX, mu, Fmu, gamma, L, cfg):
     T = X.shape[1]
     idx = np.arange(L)
-    G, b, x2 = _normal_equations(X, mu, gamma, L)
+    G, b, x2 = _normal_equations(X, FX, mu, Fmu, gamma, L)
 
     diag_mean = np.sum(G[:, idx, idx].real, axis=1) / L
     jit = np.where(diag_mean > 0, cfg.jitter * diag_mean, 1e-30)
-    Gj = G.copy()
-    Gj[:, idx, idx] += jit[:, None]
-
-    # Row-vector solve hv . Gj = b via the transposed system.
+    # Row-vector solve hv . Gj = b via the transposed system, Gj^T = Gj*.
+    Gjc = np.conj(G)
+    Gjc[:, idx, idx] += jit[:, None]
     n_warn = 0
     try:
-        hv = np.linalg.solve(np.conj(Gj), b[..., None])[..., 0]
+        hv = np.linalg.solve(Gjc, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         n_warn = 1
-        Gj[:, idx, idx] += (1e6 * jit + 1e-12)[:, None]
-        hv = np.linalg.solve(np.conj(Gj), b[..., None])[..., 0]
+        Gjc[:, idx, idx] += (1e6 * jit + 1e-12)[:, None]
+        hv = np.linalg.solve(Gjc, b[..., None])[..., 0]
 
     # Noise precision from the expected residual at the new filter.
     residual = _fit(G, b, x2, hv)
@@ -289,14 +282,19 @@ def _loglik_from_fit(alpha, mu, gamma, delta, fit):
 
 
 def _loglik_arrays(X, alpha, mu, gamma, h, delta):
-    fit = _fit(*_normal_equations(X, mu, gamma, h.shape[1]), h[:, ::-1])
+    L = h.shape[1]
+    fit = _fit(*_normal_equations(X, _spectrum(X, L), mu, _spectrum(mu, L),
+                                  gamma, L), h[:, ::-1])
     return _loglik_from_fit(alpha, mu, gamma, delta, fit)
 
 
 def _run_chunk(X, alpha, cfg):
     """Full EM loop for one block of bands; returns best snapshots and trace."""
-    iters = cfg.max_iters
+    iters, L = cfg.max_iters, cfg.ctf_len
     mu, gamma, h, delta = _init_arrays(X, cfg)
+    # One spectrum of X per chunk; each mu's spectrum serves the M-step that
+    # follows its E-step and the next E-step.
+    FX, Fmu = _spectrum(X, L), _spectrum(mu, L)
     trace = np.empty((iters + 1, X.shape[0]))
     trace[0] = _loglik_arrays(X, alpha, mu, gamma, h, delta)
 
@@ -308,8 +306,9 @@ def _run_chunk(X, alpha, cfg):
         # No previous iterate exists at iteration 1; blending with the
         # uninformative start would wreck the initial noise precision.
         lam = cfg.ema if it > 1 else 0.0
-        mu, gamma = _e_step_arrays(X, alpha, mu, gamma, h, delta, lam)
-        delta, h, w, fit = _m_step_arrays(X, mu, gamma, cfg.ctf_len, cfg)
+        mu, gamma = _e_step_arrays(FX, alpha, mu, Fmu, gamma, h, delta, lam)
+        Fmu = _spectrum(mu, L)
+        delta, h, w, fit = _m_step_arrays(X, FX, mu, Fmu, gamma, L, cfg)
         n_warn += w
         ll = _loglik_from_fit(alpha, mu, gamma, delta, fit)
         trace[it] = ll
@@ -341,9 +340,10 @@ def init(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig) -> VemState:
 def e_step(state: VemState, X: Spectrogram, alpha: PriorPrecision,
            cfg: VemConfig) -> Posterior:
     """Closed-form posterior update followed by the moving-average blend."""
+    mu_pre, L = state.posterior.mu, state.filter.num_taps
     mu, gamma = _e_step_arrays(
-        X.data, alpha.alpha, state.posterior.mu, state.posterior.gamma,
-        state.filter.h, state.noise.delta, cfg.ema,
+        _spectrum(X.data, L), alpha.alpha, mu_pre, _spectrum(mu_pre, L),
+        state.posterior.gamma, state.filter.h, state.noise.delta, cfg.ema,
     )
     return Posterior(mu, gamma)
 
@@ -352,8 +352,10 @@ def m_step(state: VemState, X: Spectrogram,
            cfg: VemConfig) -> tuple[NoisePrecision, CtfFilter]:
     """Per-band normal-equations filter update, then the noise precision
     evaluated at the new filter (clamped to (0, delta_cap])."""
+    mu, L = state.posterior.mu, cfg.ctf_len
     delta, h, n_warn, _ = _m_step_arrays(
-        X.data, state.posterior.mu, state.posterior.gamma, cfg.ctf_len, cfg
+        X.data, _spectrum(X.data, L), mu, _spectrum(mu, L),
+        state.posterior.gamma, L, cfg,
     )
     if n_warn:
         warnings.warn("singular Gram matrix; jitter increased", RuntimeWarning)

@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to get one printed
 pass/fail line per criterion (the -v test lines mirror them). The blind
-round-trip cases dominate the runtime (about ten minutes total).
+round-trip cases dominate the runtime (about three minutes total).
 """
 
 import time
@@ -76,7 +76,9 @@ def test_criterion_03_m_step_least_squares_oracle():
         X[l:] += H_true[l] * S[: T - l]
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    _, h, _, _ = vem._m_step_arrays(X[None, :], S[None, :], gamma, L, cfg)
+    Xr, Sr = X[None, :], S[None, :]
+    _, h, _, _ = vem._m_step_arrays(Xr, vem._spectrum(Xr, L), Sr,
+                                    vem._spectrum(Sr, L), gamma, L, cfg)
 
     # independent normal-equations construction and solve
     G = np.zeros((L, L), complex)

@@ -1,7 +1,10 @@
 import csv
+import json
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
 import revkit
 from revkit import prior, simulate, stft, wavio
@@ -45,6 +48,18 @@ def test_dereverb_identity_channel(tmp_path, identity_case):
     assert err < 1e-3
     manifest = out.with_name(out.name + ".manifest.json")
     assert manifest.exists()
+
+
+def test_manifest_names_the_running_versions(tmp_path, identity_case):
+    out = tmp_path / "out.wav"
+    assert run_cli("dereverb", identity_case, out, "--oracle", identity_case,
+                   "--iters", "1") == 0
+    with open(out.with_name(out.name + ".manifest.json")) as fh:
+        versions = json.load(fh)["versions"]
+    assert versions == {
+        "revkit": revkit.__version__, "numpy": np.__version__,
+        "scipy": scipy.__version__, "python": platform.python_version(),
+    }
 
 
 def test_dereverb_rejects_zero_iters(identity_case, tmp_path, capsys):

@@ -61,9 +61,10 @@ def test_e_step_matches_single_tap_wiener_posterior():
 
 def test_e_step_ema_one_is_stationary():
     state, Xs, ap, cfg, X, alpha, delta = wiener_state(8)
+    mu_pre = state.posterior.mu
     mu, gamma = vem._e_step_arrays(
-        X, alpha, state.posterior.mu, state.posterior.gamma,
-        state.filter.h, delta, 1.0,
+        vem._spectrum(X, 1), alpha, mu_pre, vem._spectrum(mu_pre, 1),
+        state.posterior.gamma, state.filter.h, delta, 1.0,
     )
     np.testing.assert_array_equal(mu, state.posterior.mu)
     np.testing.assert_allclose(gamma, state.posterior.gamma, rtol=1e-14)
@@ -77,8 +78,8 @@ def test_e_step_confident_zero_prior():
     np.testing.assert_allclose(post.gamma, 1e18, rtol=1e-6)
 
 
-def check_e_step_against_brute_force(F, T, L):
-    rng = np.random.default_rng(10)
+def check_e_step_against_brute_force(F, T, L, seed=10):
+    rng = np.random.default_rng(seed)
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.2, 3.0, (F, T))
     mu_pre = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
@@ -86,8 +87,9 @@ def check_e_step_against_brute_force(F, T, L):
     h = (rng.standard_normal((F, L)) + 1j * rng.standard_normal((F, L))) * 0.5
     delta = rng.uniform(0.5, 3.0, F)
     lam = 0.37
-    mu_new, gamma_new = vem._e_step_arrays(X, A, mu_pre, gamma_pre, h, delta,
-                                           lam)
+    mu_new, gamma_new = vem._e_step_arrays(
+        vem._spectrum(X, L), A, mu_pre, vem._spectrum(mu_pre, L), gamma_pre,
+        h, delta, lam)
 
     def xp(f, t):
         return X[f, t] if 0 <= t < T else 0.0
@@ -120,6 +122,12 @@ def test_e_step_matches_brute_force_multi_tap():
 def test_e_step_matches_brute_force_short_input(T, L):
     # fewer frames than taps: the filter runs past both signal ends
     check_e_step_against_brute_force(3, T, L)
+
+
+def m_step_arrays(X, mu, gamma, L, cfg):
+    """The M-step kernel fed with the spectra ``vem.run`` gives it."""
+    return vem._m_step_arrays(X, vem._spectrum(X, L), mu,
+                              vem._spectrum(mu, L), gamma, L, cfg)
 
 
 def brute_force_m_step(Xr, mur, varr, L, jitter):
@@ -169,8 +177,7 @@ def test_m_step_recovers_known_filter_noiseless():
         X[l:] += H_true[l] * S[: T - l]
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    delta, h, _, _ = vem._m_step_arrays(X[None, :], S[None, :], gamma, L,
-                                        cfg)
+    delta, h, _, _ = m_step_arrays(X[None, :], S[None, :], gamma, L, cfg)
     assert np.linalg.norm(h[0] - H_true) / np.linalg.norm(H_true) < 1e-6
     # matches the independent brute-force solve much tighter
     h_b = brute_force_m_step(X, S, np.full(T, 1e-30), L, cfg.jitter)
@@ -185,7 +192,7 @@ def test_m_step_identity_channel():
     S = rng.standard_normal(T) + 1j * rng.standard_normal(T)
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    _, h, _, _ = vem._m_step_arrays(S[None, :], S[None, :], gamma, L, cfg)
+    _, h, _, _ = m_step_arrays(S[None, :], S[None, :], gamma, L, cfg)
     e0 = np.zeros(L, complex)
     e0[0] = 1.0
     assert np.linalg.norm(h[0] - e0) < 1e-6
@@ -193,13 +200,13 @@ def test_m_step_identity_channel():
     assert np.max(np.abs(h[0] - h_b)) < 1e-9
 
 
-def check_m_step_against_brute_force(F, T, L):
-    rng = np.random.default_rng(5)
+def check_m_step_against_brute_force(F, T, L, seed=5):
+    rng = np.random.default_rng(seed)
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     mu = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     gamma = rng.uniform(0.5, 5.0, (F, T))
     cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
-    delta, h, _, _ = vem._m_step_arrays(X, mu, gamma, L, cfg)
+    delta, h, _, _ = m_step_arrays(X, mu, gamma, L, cfg)
     for f in range(F):
         h_b = brute_force_m_step(X[f], mu[f], 1.0 / gamma[f], L, cfg.jitter)
         assert np.max(np.abs(h[f] - h_b)) < 1e-9
@@ -214,7 +221,7 @@ def test_m_step_matches_brute_force_general():
 
 @pytest.mark.parametrize("T, L", [(3, 5), (10, 30)])
 def test_m_step_matches_brute_force_short_input(T, L):
-    # fewer frames than taps: the Gram is built on left-padded frames
+    # fewer frames than taps: windows wholly before the first frame are zero
     check_m_step_against_brute_force(6, T, L)
 
 
@@ -223,7 +230,7 @@ def test_m_step_zero_residual_hits_cap():
     X = np.zeros((1, 20), complex)
     mu = np.zeros((1, 20), complex)
     gamma = np.full((1, 20), 1e20)
-    delta, h, _, _ = vem._m_step_arrays(X, mu, gamma, 2, cfg)
+    delta, h, _, _ = m_step_arrays(X, mu, gamma, 2, cfg)
     assert delta[0] == cfg.delta_cap
     assert np.all(np.isfinite(h))
 
@@ -289,6 +296,25 @@ def test_run_trace_is_likelihood_of_recorded_iterate():
         state.noise, state.filter = vem.m_step(state, Xs, cfg)
         replay.append(vem.expected_loglik(state, Xs, ap))
     np.testing.assert_allclose(trace[:4], np.array(replay), rtol=1e-10)
+
+
+def test_run_trace_replays_through_step_api_long_input():
+    # as above at T >= L, where vem.run reuses each posterior-mean spectrum
+    # from its M-step in the next E-step instead of recomputing it
+    rng = np.random.default_rng(19)
+    F, T = 257, 57
+    X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
+    A = rng.uniform(0.5, 2.0, (F, T))
+    cfg = vem.VemConfig(ctf_len=5, ema=0.0, max_iters=4, skip_low_bands=0)
+    Xs, ap = tf_spectrogram(X), revkit.PriorPrecision(A)
+    _, _, trace = vem.run(Xs, ap, cfg)
+    state = vem.init(Xs, ap, cfg)
+    replay = [vem.expected_loglik(state, Xs, ap)]
+    for _ in range(cfg.max_iters):
+        state.posterior = vem.e_step(state, Xs, ap, cfg)
+        state.noise, state.filter = vem.m_step(state, Xs, cfg)
+        replay.append(vem.expected_loglik(state, Xs, ap))
+    np.testing.assert_allclose(trace, np.array(replay), rtol=1e-10)
 
 
 def test_band_independence():
