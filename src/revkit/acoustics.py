@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .stft import Waveform
 
@@ -118,11 +117,16 @@ def estimate_rt60(h: Waveform, start_window_db: float = 5.0,
         if e - s < 2:
             continue
         x = np.arange(s, e + 1) / fs
-        fit = stats.linregress(x, db[s: e + 1])
-        if not np.isfinite(fit.rvalue) or fit.slope >= 0.0:
+        # least-squares line and Pearson r from the biased (co)variances
+        sxx, sxy, _, syy = np.cov(x, db[s: e + 1], bias=1).flat
+        if sxx == 0.0 or syy == 0.0:
             continue
-        if best is None or abs(fit.rvalue) > abs(best[0]):
-            best = (fit.rvalue, fit.slope, s, e)
+        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+        slope = sxy / sxx
+        if slope >= 0.0:
+            continue
+        if best is None or abs(r) > abs(best[0]):
+            best = (r, slope, s, e)
     if best is None:
         raise InsufficientDecayError(
             "insufficient decay range: no fit interval reaches "

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.signal import fftconvolve
 
-from .stft import Spectrogram, StftConfig, Waveform, forward, inverse
+from .stft import (Spectrogram, StftConfig, Waveform, _convolve, forward,
+                   inverse)
 from .vem import CtfFilter, _spectrum
 
 
@@ -96,13 +96,13 @@ def inverse_filter(sweep: Waveform, cfg: SweepConfig | None = None) -> Waveform:
     ln_ratio = np.log(cfg.f2 / cfg.f1)
     env = np.exp(-np.arange(N) * ln_ratio / N)
     v = sweep.samples[::-1] * env
-    peak = float(np.max(np.abs(fftconvolve(sweep.samples, v))))
+    peak = float(np.max(np.abs(_convolve(sweep.samples, v))))
     return Waveform(v / peak, sweep.sample_rate)
 
 
 def delta_position(sweep: Waveform, inv: Waveform) -> int:
     """Index of the impulse produced by conv(sweep, inverse filter)."""
-    return int(np.argmax(np.abs(fftconvolve(sweep.samples, inv.samples))))
+    return int(np.argmax(np.abs(_convolve(sweep.samples, inv.samples))))
 
 
 def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
@@ -167,7 +167,7 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
     y = inverse(Spectrogram(Y, stft_cfg, scale=E.scale,
                             sample_rate=sweep.sample_rate))
 
-    full = fftconvolve(y.samples, inv.samples)
+    full = _convolve(y.samples, inv.samples)
     origin = delta_position(sweep, inv) + guard * stft_cfg.hop
 
     support = (L - 1) * stft_cfg.hop + stft_cfg.win_length

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import butter, fftconvolve, lfilter
 
-from .stft import Waveform
+from .stft import Waveform, _convolve
 
 
 @dataclass
@@ -90,7 +89,7 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
         raise ValueError("clean and RIR sample rates differ")
     if not np.any(clean.samples):
         raise ValueError("silent clean input: SNR undefined")
-    sig = fftconvolve(clean.samples, rir.samples)
+    sig = _convolve(clean.samples, rir.samples)
     if noise is None or np.isinf(snr_db):
         return Waveform(sig, clean.sample_rate)
     if noise.sample_rate != clean.sample_rate:
@@ -118,6 +117,10 @@ def speech_like(duration: float, fs: int, seed: int = 0) -> Waveform:
     tilted noise under a syllabic-rate envelope, with short silent gaps.
     The gaps matter: reverberation decaying into them is what makes a
     room filter identifiable from a recording."""
+    # imported here: scipy.signal, which loads scipy.stats, would add
+    # ~0.8 s to the start-up of every CLI command
+    from scipy.signal import butter, lfilter
+
     rng = np.random.default_rng(seed)
     n = int(round(duration * fs))
     x = rng.standard_normal(n)
@@ -159,4 +162,4 @@ def direct_path_reference(clean: Waveform, rir: Waveform,
     a = max(0, peak - spread)
     b = min(h.size, peak + spread + 1)
     direct[a:b] = h[a:b]
-    return Waveform(fftconvolve(clean.samples, direct), clean.sample_rate)
+    return Waveform(_convolve(clean.samples, direct), clean.sample_rate)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
+from scipy.fft import irfft, next_fast_len, rfft
 
 
 @dataclass
@@ -56,7 +56,10 @@ class StftConfig:
 
     @property
     def window(self) -> np.ndarray:
-        return get_window("hann", self.win_length, fftbins=True)
+        # 0.5 - 0.5 cos(2 pi n / N), n = 0..N-1, in the form that matches
+        # scipy.signal.get_window("hann", N, fftbins=True) bit for bit
+        n = self.win_length
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
 
     @property
     def num_bins(self) -> int:
@@ -138,6 +141,16 @@ def forward(wave: Waveform, cfg: StftConfig | None = None,
     frames = sliding_window_view(x, cfg.win_length)[:: cfg.hop][:T]
     spec = np.fft.rfft(frames * cfg.window, n=cfg.win_length, axis=1)
     return Spectrogram(spec.T, cfg, scale=scale, sample_rate=wave.sample_rate)
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-D arrays through real FFTs of
+    a fast length, equal bit for bit to ``scipy.signal.fftconvolve``."""
+    n = a.size + b.size - 1
+    if a.size == 1 or b.size == 1:
+        return a * b
+    m = next_fast_len(n, True)
+    return irfft(rfft(a, m) * rfft(b, m), m)[:n]
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:

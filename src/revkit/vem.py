@@ -221,19 +221,23 @@ def _gram_windows(mu, Fmu, var, L):
     return G
 
 
-def _normal_equations(X, FX, mu, Fmu, gamma, L):
-    """Unregularized Gram G, right-hand side b and ||X||^2 of the per-band
-    filter normal equations, taps in S-vector (oldest-first) order. FX and
-    Fmu are the ``_spectrum`` of X and mu."""
+def _normal_equations(FX, mu, Fmu, gamma, L):
+    """Unregularized Gram G and right-hand side b of the per-band filter
+    normal equations, taps in S-vector (oldest-first) order. FX and Fmu are
+    the ``_spectrum`` of the observation and of mu."""
     G = _gram_windows(mu, Fmu, 1.0 / gamma, L)
     # b[j] = sum_t X(t) mu*(t - L + 1 + j), the cross-correlation at lag L-1-j
     b = ifft(FX * np.conj(Fmu))[:, L - 1:: -1]
     # Taps whose windows lie wholly before the first frame (T < L) get exact
     # zeros, not FFT roundoff, which the near-singular solve would amplify.
-    k = max(L - X.shape[1], 0)
+    k = max(L - mu.shape[1], 0)
     G[:, :k] = G[:, :, :k] = b[:, :k] = 0.0
-    x2 = np.sum(X.real ** 2 + X.imag ** 2, axis=1)
-    return G, b, x2
+    return G, b
+
+
+def _band_energy(X):
+    """||X||^2 per band, the constant term of every fit."""
+    return np.sum(X.real ** 2 + X.imag ** 2, axis=1)
 
 
 def _fit(G, b, x2, hv):
@@ -246,10 +250,12 @@ def _fit(G, b, x2, hv):
     return np.maximum(x2 - cross + quad, 0.0)
 
 
-def _m_step_arrays(X, FX, mu, Fmu, gamma, L, cfg):
-    T = X.shape[1]
+def _m_step_arrays(x2, FX, mu, Fmu, gamma, L, cfg):
+    """x2 is the ``_band_energy`` of the observation, FX and Fmu the
+    ``_spectrum`` of it and of mu."""
+    T = mu.shape[1]
     idx = np.arange(L)
-    G, b, x2 = _normal_equations(X, FX, mu, Fmu, gamma, L)
+    G, b = _normal_equations(FX, mu, Fmu, gamma, L)
 
     diag_mean = np.sum(G[:, idx, idx].real, axis=1) / L
     jit = np.where(diag_mean > 0, cfg.jitter * diag_mean, 1e-30)
@@ -274,18 +280,19 @@ def _m_step_arrays(X, FX, mu, Fmu, gamma, L, cfg):
     return delta, h_new, n_warn, residual
 
 
-def _loglik_from_fit(alpha, mu, gamma, delta, fit):
-    """T log delta - delta * fit plus the prior term, per band."""
+def _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit):
+    """T log delta - delta * fit plus the prior term, per band; log_alpha
+    is np.log(alpha)."""
     power = mu.real ** 2 + mu.imag ** 2 + 1.0 / gamma
-    prior_term = np.sum(np.log(alpha) - alpha * power, axis=1)
+    prior_term = np.sum(log_alpha - alpha * power, axis=1)
     return mu.shape[1] * np.log(delta) - delta * fit + prior_term
 
 
 def _loglik_arrays(X, alpha, mu, gamma, h, delta):
     L = h.shape[1]
-    fit = _fit(*_normal_equations(X, _spectrum(X, L), mu, _spectrum(mu, L),
-                                  gamma, L), h[:, ::-1])
-    return _loglik_from_fit(alpha, mu, gamma, delta, fit)
+    G, b = _normal_equations(_spectrum(X, L), mu, _spectrum(mu, L), gamma, L)
+    fit = _fit(G, b, _band_energy(X), h[:, ::-1])
+    return _loglik_from_fit(np.log(alpha), alpha, mu, gamma, delta, fit)
 
 
 def _run_chunk(X, alpha, cfg):
@@ -293,8 +300,10 @@ def _run_chunk(X, alpha, cfg):
     iters, L = cfg.max_iters, cfg.ctf_len
     mu, gamma, h, delta = _init_arrays(X, cfg)
     # One spectrum of X per chunk; each mu's spectrum serves the M-step that
-    # follows its E-step and the next E-step.
+    # follows its E-step and the next E-step. ||X||^2 and log alpha are
+    # likewise fixed for the whole loop.
     FX, Fmu = _spectrum(X, L), _spectrum(mu, L)
+    x2, log_alpha = _band_energy(X), np.log(alpha)
     trace = np.empty((iters + 1, X.shape[0]))
     trace[0] = _loglik_arrays(X, alpha, mu, gamma, h, delta)
 
@@ -308,9 +317,9 @@ def _run_chunk(X, alpha, cfg):
         lam = cfg.ema if it > 1 else 0.0
         mu, gamma = _e_step_arrays(FX, alpha, mu, Fmu, gamma, h, delta, lam)
         Fmu = _spectrum(mu, L)
-        delta, h, w, fit = _m_step_arrays(X, FX, mu, Fmu, gamma, L, cfg)
+        delta, h, w, fit = _m_step_arrays(x2, FX, mu, Fmu, gamma, L, cfg)
         n_warn += w
-        ll = _loglik_from_fit(alpha, mu, gamma, delta, fit)
+        ll = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit)
         trace[it] = ll
         better = ll > best_ll
         best_ll = np.where(better, ll, best_ll)
@@ -354,7 +363,7 @@ def m_step(state: VemState, X: Spectrogram,
     evaluated at the new filter (clamped to (0, delta_cap])."""
     mu, L = state.posterior.mu, cfg.ctf_len
     delta, h, n_warn, _ = _m_step_arrays(
-        X.data, _spectrum(X.data, L), mu, _spectrum(mu, L),
+        _band_energy(X.data), _spectrum(X.data, L), mu, _spectrum(mu, L),
         state.posterior.gamma, L, cfg,
     )
     if n_warn:

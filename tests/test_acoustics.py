@@ -102,6 +102,20 @@ def test_rt60_two_slope_matches_exhaustive_search():
     assert np.isclose(p.pearson_r, r_b, rtol=1e-12)
 
 
+@pytest.mark.parametrize("rt60", [0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("drr", [-5.0, 0.0, 5.0, 10.0])
+def test_rt60_equals_linregress_search(rt60, drr):
+    # the acceptance grid at the default 1 ms candidate stride: every
+    # result bit-identical to the scipy.stats.linregress oracle
+    from revkit import simulate
+    h = simulate.synth_rir(simulate.SynthRirSpec(rt60=rt60, drr=drr, seed=17))
+    p = acoustics.estimate_rt60(h)
+    rt_b, s_b, e_b, r_b = brute_force_rt60(h, h.sample_rate, stride=16)
+    assert (p.fit_start, p.fit_end) == (s_b, e_b)
+    assert p.rt60 == rt_b
+    assert p.pearson_r == r_b
+
+
 def test_rt60_insufficient_decay():
     h = revkit.Waveform(np.eye(1, 50, 0)[0], 16000)
     with pytest.raises(acoustics.InsufficientDecayError):

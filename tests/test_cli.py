@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,19 @@ def test_wav_contract_rejections(tmp_path):
     wavfile.write(bad_fmt, 16000, np.zeros(1000, dtype=np.int32))
     with pytest.raises(ValueError, match="format"):
         wavio.read_wav(bad_fmt)
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    # together they cost ~0.8 s of start-up on every command and the CLI
+    # needs neither; a fresh interpreter shows what the import pulls in
+    code = ("import sys, revkit.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'signal'], "
+            "['scipy', 'stats'])))")
+    src = str(Path(revkit.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_parsing():

@@ -143,3 +143,21 @@ def test_waveform_validation():
         revkit.Waveform(np.array([1.0, np.nan]), 16000)
     with pytest.raises(ValueError):
         revkit.Waveform(np.array([]), 16000)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 31, 64, 255, 512, 1023])
+def test_window_is_scipy_periodic_hann(n):
+    from scipy.signal import get_window
+    window = revkit.StftConfig(win_length=n, hop=1).window
+    assert np.array_equal(window, get_window("hann", n, fftbins=True))
+
+
+@pytest.mark.parametrize("na, nb", [(1, 1), (1, 9), (9, 1), (2, 2), (3, 7),
+                                    (100, 33), (4000, 16000), (5003, 131072)])
+def test_convolve_is_scipy_fftconvolve(na, nb):
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(na + nb)
+    a, b = rng.standard_normal(na), rng.standard_normal(nb)
+    out = stft._convolve(a, b)
+    assert out.shape == (na + nb - 1,)
+    assert np.array_equal(out, fftconvolve(a, b))

@@ -126,7 +126,7 @@ def test_e_step_matches_brute_force_short_input(T, L):
 
 def m_step_arrays(X, mu, gamma, L, cfg):
     """The M-step kernel fed with the spectra ``vem.run`` gives it."""
-    return vem._m_step_arrays(X, vem._spectrum(X, L), mu,
+    return vem._m_step_arrays(vem._band_energy(X), vem._spectrum(X, L), mu,
                               vem._spectrum(mu, L), gamma, L, cfg)
 
 
