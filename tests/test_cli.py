@@ -287,12 +287,14 @@ def test_wav_contract_rejections(tmp_path):
         wavio.read_wav(bad_fmt)
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats():
-    # together they cost ~0.8 s of start-up on every command and the CLI
-    # needs neither; a fresh interpreter shows what the import pulls in
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # scipy.signal and scipy.stats cost ~0.8 s of start-up on every command,
+    # scipy.fft and scipy.io (with scipy.special) ~0.3 s more, and the CLI
+    # needs none of them; a fresh interpreter shows what the import pulls in
     code = ("import sys, revkit.cli; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'signal'], "
-            "['scipy', 'stats'])))")
+            "['scipy', 'stats'], ['scipy', 'fft'], ['scipy', 'io'], "
+            "['scipy', 'special'])))")
     src = str(Path(revkit.__file__).resolve().parent.parent)
     out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
                          capture_output=True,

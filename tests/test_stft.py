@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import revkit
-from revkit import stft
+from revkit import stft, vem
 
 
 def random_wave(seed, n, fs=16000):
@@ -161,3 +161,37 @@ def test_convolve_is_scipy_fftconvolve(na, nb):
     out = stft._convolve(a, b)
     assert out.shape == (na + nb - 1,)
     assert np.array_equal(out, fftconvolve(a, b))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_next_fast_len_is_scipy(real):
+    from scipy.fft import next_fast_len
+    sizes = range(1, 300001)
+    assert ([stft._next_fast_len(n, real) for n in sizes]
+            == [next_fast_len(n, real) for n in sizes])
+
+
+@pytest.mark.parametrize("n", [14, 63, 480, 528, 1029, 2048])
+def test_numpy_fft_is_scipy_fft(n):
+    # the engine's transforms: 64 rows, zero-padded taps, in-place inverse
+    import scipy.fft
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((64, n))
+    z = x + 1j * rng.standard_normal((64, n))
+    for name, a in (("fft", z), ("fft", z[:, :7]), ("ifft", z),
+                    ("rfft", x), ("irfft", z[:, : n // 2 + 1])):
+        assert np.array_equal(getattr(np.fft, name)(a, n),
+                              getattr(scipy.fft, name)(a, n))
+    assert np.array_equal(vem._fft_padded(z[:, :7], n),
+                          scipy.fft.fft(z[:, :7], n))
+    want = scipy.fft.ifft(z)
+    assert np.array_equal(np.fft.ifft(z, out=z), want)
+
+
+@pytest.mark.parametrize("n", [138240, 262144])
+def test_numpy_real_fft_is_scipy_at_rir_sizes(n):
+    import scipy.fft
+    x = np.random.default_rng(n).standard_normal(n)
+    X = np.fft.rfft(x)
+    assert np.array_equal(X, scipy.fft.rfft(x))
+    assert np.array_equal(np.fft.irfft(X, n), scipy.fft.irfft(X, n))
