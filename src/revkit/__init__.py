@@ -5,8 +5,7 @@ from .acoustics import (AcousticParams, EdcCurve, InsufficientDecayError, edc,
 from .evaluate import ScoreReport, lsd, score_rir_batch
 from .prior import (PriorPrecision, from_magnitude, load_prior_file,
                     oracle_from_reference, save_prior_file)
-from .rir import (RirEstimate, SweepConfig, ctf_to_rir, inverse_filter,
-                  log_sweep)
+from .rir import RirEstimate, ctf_to_rir, inverse_filter, log_sweep
 from .simulate import (SynthRirSpec, direct_path_reference, mix, speech_like,
                        synth_rir, white_noise)
 from .stft import Spectrogram, StftConfig, Waveform, forward, inverse
@@ -19,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AcousticParams", "CtfFilter", "EdcCurve", "InsufficientDecayError",
     "NoisePrecision", "Posterior", "PriorPrecision", "RirEstimate",
-    "ScoreReport", "Spectrogram", "StftConfig", "SweepConfig", "SynthRirSpec",
+    "ScoreReport", "Spectrogram", "StftConfig", "SynthRirSpec",
     "VemConfig", "VemState", "Waveform", "ctf_to_rir",
     "direct_path_reference", "e_step", "edc", "estimate_drr", "estimate_rt60",
     "expected_loglik", "forward", "from_magnitude", "init", "inverse",

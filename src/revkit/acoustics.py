@@ -9,7 +9,12 @@ and the fit with the largest |Pearson correlation| wins. RT60 is -60/k
 for the winning slope k in dB/s.
 
 DRR is the energy within +/-2.5 ms of the direct-path peak over the
-energy everywhere else, in dB, capped when the tail energy vanishes.
+energy everywhere else, in dB, capped at +80 dB: the cap is returned
+whenever the tail is 80 dB or more below the direct part, whatever the
+scale of the response.
+
+These heuristics are fixed module constants; only the RT60 candidate
+spacing is an argument.
 """
 
 from __future__ import annotations
@@ -21,6 +26,10 @@ import numpy as np
 from .stft import Waveform
 
 EDC_DB_FLOOR = -120.0
+RT60_START_DB = 5.0      # fit starts lie between the point this far below
+RT60_MAX_START_S = 0.05  # the peak level and the point this long after it
+RT60_END_DROP_DB = 5.0   # each fit ends this far below its start
+DRR_DIRECT_S = 0.0025    # direct window, each side of the peak
 DRR_CAP_DB = 80.0
 
 
@@ -34,10 +43,6 @@ class EdcCurve:
 
     values: np.ndarray
     db: np.ndarray
-
-    @property
-    def total_energy(self) -> float:
-        return float(self.values[0])
 
 
 @dataclass
@@ -64,23 +69,17 @@ def edc(h: Waveform) -> EdcCurve:
     return EdcCurve(energy, db)
 
 
-def estimate_rt60(h: Waveform, start_window_db: float = 5.0,
-                  max_start_delay: float = 0.05,
-                  end_drop_db: float = 5.0,
-                  start_stride: float = 0.001) -> AcousticParams:
+def estimate_rt60(h: Waveform, start_stride: float = 0.001) -> AcousticParams:
     """Reverberation time from the decay-curve slope.
 
     Parameters
     ----------
     h : Waveform
         Impulse response with a detectable direct-path peak (global
-        absolute maximum).
-    start_window_db, max_start_delay, end_drop_db : float
-        Fitting heuristics: candidate fit starts lie between the sample
-        where the decay curve is ``start_window_db`` below its value at
-        the peak and the sample ``max_start_delay`` seconds after the
-        peak; each fit ends at the first sample ``end_drop_db`` below its
-        start.
+        absolute maximum). Candidate fit starts lie between the sample
+        where the decay curve is RT60_START_DB below its value at the
+        peak and the sample RT60_MAX_START_S after the peak; each fit
+        ends at the first sample RT60_END_DROP_DB below its start.
     start_stride : float
         Candidate spacing in seconds.
 
@@ -95,21 +94,21 @@ def estimate_rt60(h: Waveform, start_window_db: float = 5.0,
     n = db.size
     peak = int(np.argmax(np.abs(h.samples)))
 
-    below = np.nonzero(db[peak:] <= db[peak] - start_window_db)[0]
+    below = np.nonzero(db[peak:] <= db[peak] - RT60_START_DB)[0]
     if below.size == 0:
         raise InsufficientDecayError(
             "insufficient decay range: curve never drops "
-            f"{start_window_db} dB below the direct-path level"
+            f"{RT60_START_DB} dB below the direct-path level"
         )
     n5 = peak + int(below[0])
-    n50 = peak + int(round(max_start_delay * fs))
+    n50 = peak + int(round(RT60_MAX_START_S * fs))
     lo, hi = min(n5, n50), max(n5, n50)
     hi = min(hi, n - 2)
     stride = max(1, int(round(start_stride * fs)))
 
     best = None
     for s in range(lo, hi + 1, stride):
-        target = db[s] - end_drop_db
+        target = db[s] - RT60_END_DROP_DB
         rel = np.nonzero(db[s:] <= target)[0]
         if rel.size == 0:
             continue
@@ -132,30 +131,28 @@ def estimate_rt60(h: Waveform, start_window_db: float = 5.0,
     if best is None:
         raise InsufficientDecayError(
             "insufficient decay range: no fit interval reaches "
-            f"{end_drop_db} dB of attenuation"
+            f"{RT60_END_DROP_DB} dB of attenuation"
         )
     r, slope, s, e = best
     return AcousticParams(rt60=-60.0 / slope, fit_start=s, fit_end=e,
                           pearson_r=float(r))
 
 
-def estimate_drr(h: Waveform, direct_window: float = 0.0025,
-                 cap_db: float = DRR_CAP_DB,
-                 power_floor: float = 1e-10) -> AcousticParams:
+def estimate_drr(h: Waveform) -> AcousticParams:
     """Direct-to-reverberant energy ratio in dB.
 
-    The direct window spans ``direct_window`` seconds on each side of the
+    The direct window spans DRR_DIRECT_S seconds on each side of the
     absolute peak; everything outside is reverberant energy. When the
-    reverberant energy falls below ``power_floor`` the configured cap is
-    returned (an isolated impulse has no meaningful finite DRR).
+    reverberant energy is DRR_CAP_DB or more below the direct energy, the
+    cap is returned (an isolated impulse has no meaningful finite DRR).
     """
     x = h.samples
     peak = int(np.argmax(np.abs(x)))
-    spread = int(round(direct_window * h.sample_rate))
+    spread = int(round(DRR_DIRECT_S * h.sample_rate))
     a = max(0, peak - spread)
     b = min(x.size, peak + spread + 1)
     direct = float(np.sum(x[a:b] ** 2))
     rest = float(np.sum(x ** 2)) - direct
-    if rest < power_floor:
-        return AcousticParams(drr=cap_db)
+    if rest <= direct * 10.0 ** (-DRR_CAP_DB / 10.0):
+        return AcousticParams(drr=DRR_CAP_DB)
     return AcousticParams(drr=10.0 * np.log10(direct / rest))

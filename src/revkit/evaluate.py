@@ -37,53 +37,31 @@ def _mae_rmse(errors: np.ndarray) -> tuple[float, float]:
 def score_rir_batch(estimates, truths) -> ScoreReport:
     """Score paired (rt60, drr) estimates against reference values.
 
-    Both arguments are sequences of objects with ``rt60`` and ``drr``
-    attributes (e.g. AcousticParams) or (rt60, drr) pairs. Reference
-    values should come from the same estimators applied to the true
-    impulse responses. Missing values (None/NaN) are scoring failures.
+    Both arguments are sequences of (rt60, drr) pairs. Reference values
+    should come from the same estimators applied to the true impulse
+    responses. Missing values (None/NaN) are scoring failures.
     """
-    est = [_as_pair(e) for e in estimates]
-    ref = [_as_pair(t) for t in truths]
-    if len(est) == 0:
+    if len(estimates) == 0:
         raise ValueError("empty batch")
-    if len(est) != len(ref):
-        raise ValueError(f"batch sizes differ: {len(est)} vs {len(ref)}")
-    bad = [i for i, (e, t) in enumerate(zip(est, ref))
-           if not all(np.isfinite([e[0], e[1], t[0], t[1]]))]
-    if bad:
-        raise ValueError(f"unscorable pairs at indices {bad}")
-    e = np.array(est)
-    t = np.array(ref)
+    if len(estimates) != len(truths):
+        raise ValueError(
+            f"batch sizes differ: {len(estimates)} vs {len(truths)}")
+    e = np.array(estimates, dtype=np.float64)
+    t = np.array(truths, dtype=np.float64)
+    bad = np.flatnonzero(~np.all(np.isfinite(np.hstack((e, t))), axis=1))
+    if bad.size:
+        raise ValueError(f"unscorable pairs at indices {bad.tolist()}")
     return ScoreReport(rt60_errors=e[:, 0] - t[:, 0],
                        drr_errors=e[:, 1] - t[:, 1])
 
 
-def _as_pair(item) -> tuple[float, float]:
-    if hasattr(item, "rt60"):
-        rt60, drr = item.rt60, item.drr
-    else:
-        rt60, drr = item
-    return (float("nan") if rt60 is None else float(rt60),
-            float("nan") if drr is None else float(drr))
-
-
-def power_match(enhanced_mag: np.ndarray, reference_mag: np.ndarray) -> np.ndarray:
-    """Scale enhanced magnitudes so their total power matches the reference."""
-    p_enh = float(np.sum(enhanced_mag ** 2))
-    p_ref = float(np.sum(reference_mag ** 2))
-    if p_enh <= 0.0:
-        return enhanced_mag
-    return enhanced_mag * np.sqrt(p_ref / p_enh)
-
-
-def lsd(enhanced: Spectrogram, reference: Spectrogram,
-        match_power: bool = True, eps: float = LSD_EPS) -> float:
+def lsd(enhanced: Spectrogram, reference: Spectrogram) -> float:
     """Log-spectral distortion in dB between two equally shaped spectrograms.
 
     Per frame, the RMS over bins of the difference of 20 log10 magnitudes
-    (floored by ``eps``), averaged over frames. Magnitudes are taken in
-    the max-abs-normalized domain; the enhanced side is power-matched to
-    the reference first unless ``match_power`` is False.
+    (floored by LSD_EPS), averaged over frames. Magnitudes are taken in
+    the max-abs-normalized domain, and the enhanced side is first scaled
+    so its total power matches the reference.
     """
     if enhanced.data.shape != reference.data.shape:
         raise ValueError(
@@ -91,7 +69,8 @@ def lsd(enhanced: Spectrogram, reference: Spectrogram,
         )
     em = np.abs(enhanced.data)
     rm = np.abs(reference.data)
-    if match_power:
-        em = power_match(em, rm)
-    diff = 20.0 * np.log10(em + eps) - 20.0 * np.log10(rm + eps)
+    p_enh = float(np.sum(em ** 2))
+    if p_enh > 0.0:
+        em = em * np.sqrt(float(np.sum(rm ** 2)) / p_enh)
+    diff = 20.0 * np.log10(em + LSD_EPS) - 20.0 * np.log10(rm + LSD_EPS)
     return float(np.mean(np.sqrt(np.mean(diff ** 2, axis=0))))

@@ -29,10 +29,9 @@ _VERSION = 1
 
 @dataclass
 class PriorPrecision:
-    """Per-bin prior precision alpha (1/power) with its power floor."""
+    """Per-bin prior precision alpha (1/power)."""
 
     alpha: np.ndarray
-    floor: float = DEFAULT_POWER_FLOOR
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
@@ -56,7 +55,7 @@ def from_magnitude(mag: np.ndarray,
         raise ValueError("magnitudes must be non-negative")
     if floor <= 0:
         raise ValueError("power floor must be positive")
-    return PriorPrecision(1.0 / np.maximum(mag ** 2, floor), floor=floor)
+    return PriorPrecision(1.0 / np.maximum(mag ** 2, floor))
 
 
 def oracle_from_reference(clean: Waveform, cfg: StftConfig | None = None,

@@ -16,6 +16,8 @@ import numpy as np
 
 from .stft import Waveform, _convolve
 
+DIRECT_DELAY = 160  # samples before the direct-path impulse
+
 
 @dataclass
 class SynthRirSpec:
@@ -23,20 +25,12 @@ class SynthRirSpec:
 
     rt60: float
     drr: float
-    direct_delay: int = 160
-    length: int | None = None
     fs: int = 16000
     seed: int = 0
 
     def __post_init__(self):
         if self.rt60 <= 0:
             raise ValueError("rt60 must be positive")
-        if self.length is None:
-            # direct path, guard gap, then a tail long enough to decay 60 dB
-            self.length = (self.direct_delay + int(round(0.0025 * self.fs))
-                           + 1 + int(round(self.rt60 * self.fs)))
-        if self.length <= self.direct_delay:
-            raise ValueError("length must exceed direct_delay")
 
 
 def synth_rir(spec: SynthRirSpec) -> Waveform:
@@ -47,14 +41,16 @@ def synth_rir(spec: SynthRirSpec) -> Waveform:
     exponential envelope (sliding-RMS normalization over 2.5 ms), so the
     realized decay curve is log-linear and the nominal RT60 is the actual
     ground truth rather than the mean of a noisy realization. Tail energy
-    is scaled to hit the requested DRR exactly.
+    is scaled to hit the requested DRR exactly. The response is the
+    direct path at DIRECT_DELAY, a 2.5 ms guard gap, then a tail of rt60
+    seconds, long enough to decay 60 dB.
     """
     rng = np.random.default_rng(spec.seed)
-    h = np.zeros(spec.length)
-    h[spec.direct_delay] = 1.0
+    tail_start = DIRECT_DELAY + int(round(0.0025 * spec.fs)) + 1
+    h = np.zeros(tail_start + int(round(spec.rt60 * spec.fs)))
+    h[DIRECT_DELAY] = 1.0
 
-    tail_start = spec.direct_delay + int(round(0.0025 * spec.fs)) + 1
-    m = spec.length - tail_start
+    m = h.size - tail_start
     if m > 0:
         n = np.arange(m)
         # amplitude envelope for a 60 dB energy decay over rt60 seconds
@@ -145,21 +141,15 @@ def speech_like(duration: float, fs: int, seed: int = 0) -> Waveform:
     return Waveform(out / np.max(np.abs(out)), fs)
 
 
-def direct_path_reference(clean: Waveform, rir: Waveform,
-                          window: float = 0.0) -> Waveform:
-    """Clean signal convolved with only the direct-path part of the RIR.
-
-    By default just the peak sample (a scaled, delayed copy of the
-    clean signal); ``window`` seconds around the peak may be included.
-    Output length matches ``mix`` so frame counts line up.
+def direct_path_reference(clean: Waveform, rir: Waveform) -> Waveform:
+    """Clean signal convolved with only the peak sample of the RIR: a
+    scaled, delayed copy of the clean signal. Output length matches
+    ``mix`` so frame counts line up.
     """
     if clean.sample_rate != rir.sample_rate:
         raise ValueError("sample rates differ")
     h = rir.samples
     peak = int(np.argmax(np.abs(h)))
-    spread = int(round(window * rir.sample_rate))
     direct = np.zeros_like(h)
-    a = max(0, peak - spread)
-    b = min(h.size, peak + spread + 1)
-    direct[a:b] = h[a:b]
+    direct[peak] = h[peak]
     return Waveform(_convolve(clean.samples, direct), clean.sample_rate)

@@ -17,7 +17,7 @@ def test_edc_total_energy_and_monotone():
     rng = np.random.default_rng(0)
     h = revkit.Waveform(rng.standard_normal(500), 16000)
     curve = acoustics.edc(h)
-    assert np.isclose(curve.total_energy, np.sum(h.samples ** 2))
+    assert np.isclose(curve.values[0], np.sum(h.samples ** 2))
     assert np.all(np.diff(curve.values) <= 1e-15)
 
 
@@ -145,6 +145,18 @@ def test_drr_single_impulse_capped():
     assert acoustics.estimate_drr(h).drr == acoustics.DRR_CAP_DB
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_drr_cap_is_relative_to_direct_energy(scale):
+    # the cap applies when the tail is 80 dB or more below the direct
+    # part, at any overall scale; a tail 79 dB down still reads 79 dB
+    for tail_db, expected in ((-79.0, 79.0), (-81.0, acoustics.DRR_CAP_DB)):
+        x = np.zeros(2000)
+        x[50] = scale
+        x[1000] = scale * 10.0 ** (tail_db / 20.0)
+        drr = acoustics.estimate_drr(revkit.Waveform(x, 16000)).drr
+        assert np.isclose(drr, expected, atol=1e-9)
+
+
 def test_drr_equal_energy_is_zero():
     fs = 16000
     x = np.zeros(2000)
@@ -158,10 +170,11 @@ def test_drr_scale_and_delay_invariance():
     from revkit import simulate
     h = simulate.synth_rir(simulate.SynthRirSpec(rt60=0.4, drr=2.0, seed=6))
     base = acoustics.estimate_drr(h).drr
-    scaled = acoustics.estimate_drr(
-        revkit.Waveform(h.samples * 0.01, h.sample_rate)).drr
     delayed = acoustics.estimate_drr(
         revkit.Waveform(np.concatenate([np.zeros(333), h.samples]),
                         h.sample_rate)).drr
-    assert np.isclose(base, scaled, atol=1e-9)
+    for scale in (0.01, 1e-5):
+        scaled = acoustics.estimate_drr(
+            revkit.Waveform(h.samples * scale, h.sample_rate)).drr
+        assert np.isclose(base, scaled, atol=1e-9)
     assert np.isclose(base, delayed, atol=1e-9)

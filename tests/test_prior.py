@@ -56,7 +56,7 @@ def test_oracle_matches_observation_init_when_identical():
     spec = stft.forward(wave)
     p = prior.oracle_from_reference(wave, spec.config)
     np.testing.assert_allclose(
-        p.alpha, 1.0 / np.maximum(np.abs(spec.data) ** 2, p.floor),
+        p.alpha, 1.0 / np.maximum(np.abs(spec.data) ** 2, prior.DEFAULT_POWER_FLOOR),
         rtol=1e-12,
     )
 
@@ -71,7 +71,7 @@ def test_oracle_direct_path_scaling():
     cfg = revkit.StftConfig()
     p = prior.oracle_from_reference(delayed, cfg)
     mag = np.abs(stft.forward(delayed, cfg).data)
-    np.testing.assert_allclose(p.alpha, 1.0 / np.maximum(mag ** 2, p.floor),
+    np.testing.assert_allclose(p.alpha, 1.0 / np.maximum(mag ** 2, prior.DEFAULT_POWER_FLOOR),
                                rtol=1e-12)
 
 

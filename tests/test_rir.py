@@ -18,36 +18,42 @@ def test_sweep_instantaneous_frequency_endpoints():
     # instantaneous frequency from the analytic signal is log-linear in
     # time; extrapolating the interior fit to the endpoints recovers the
     # configured band edges
-    cfg = rir.SweepConfig()
-    sweep = rir.log_sweep(cfg)
+    sweep = rir.log_sweep()
     N = sweep.samples.size
     phase = np.unwrap(np.angle(hilbert(sweep.samples)))
     finst = np.diff(phase) / (2 * np.pi)  # cycles per sample
     idx = np.arange(2000, N - 2000)
     good = finst[idx] > 0
     slope, intercept = np.polyfit(idx[good], np.log(finst[idx][good]), 1)
-    f_start = np.exp(intercept) * cfg.sample_rate
-    f_end = np.exp(intercept + slope * N) * cfg.sample_rate
-    assert abs(f_start - cfg.f1) / cfg.f1 < 0.005
-    assert abs(f_end - cfg.f2) / cfg.f2 < 0.005
+    f_start = np.exp(intercept) * rir.SWEEP_RATE
+    f_end = np.exp(intercept + slope * N) * rir.SWEEP_RATE
+    assert abs(f_start - rir.SWEEP_F1) / rir.SWEEP_F1 < 0.005
+    assert abs(f_end - rir.SWEEP_F2) / rir.SWEEP_F2 < 0.005
 
 
 def test_inverse_filter_unit_peak_and_length():
-    cfg = rir.SweepConfig()
-    sweep = rir.log_sweep(cfg)
-    inv = rir.inverse_filter(sweep, cfg)
+    sweep = rir.log_sweep()
+    inv = rir.inverse_filter(sweep)
     assert inv.samples.size == sweep.samples.size
     d = fftconvolve(sweep.samples, inv.samples)
     assert abs(np.max(np.abs(d)) - 1.0) < 1e-9
 
 
+def test_sweep_meets_its_inverse_at_the_assumed_origin():
+    # ctf_to_rir takes the deconvolution origin as SWEEP_LEN - 1 without
+    # computing it
+    sweep = rir.log_sweep()
+    assert sweep.samples.size == rir.SWEEP_LEN
+    d = fftconvolve(sweep.samples, rir.inverse_filter(sweep).samples)
+    assert int(np.argmax(np.abs(d))) == rir.SWEEP_LEN - 1
+
+
 def test_inverse_filter_sidelobes():
-    cfg = rir.SweepConfig()
-    sweep = rir.log_sweep(cfg)
-    inv = rir.inverse_filter(sweep, cfg)
+    sweep = rir.log_sweep()
+    inv = rir.inverse_filter(sweep)
     d = fftconvolve(sweep.samples, inv.samples)
     peak = int(np.argmax(np.abs(d)))
-    guard = int(0.005 * cfg.sample_rate)
+    guard = int(0.005 * rir.SWEEP_RATE)
     mask = np.ones(d.size, bool)
     mask[peak - guard: peak + guard + 1] = False
     sidelobe_db = 20 * np.log10(np.max(np.abs(d[mask])) / np.abs(d[peak]))
@@ -109,15 +115,21 @@ def reflection_filter(seed, F=257, L=12, n_refl=6):
     return h
 
 
-def test_crop_window_keeps_energy_of_compact_filters():
-    h = reflection_filter(4)
+@pytest.mark.parametrize("L", [30, 5])
+def test_estimate_length_is_support_plus_margins(L):
+    # the filter's time support plus 2 * win_length on each side
     cfgS = revkit.StftConfig()
-    full_margin = rir.ctf_to_rir(CtfFilter(h), cfgS,
-                                 crop_margin=24 * cfgS.win_length)
-    default = rir.ctf_to_rir(CtfFilter(h), cfgS)
-    e_default = np.sum(default.waveform.samples ** 2)
-    e_full = np.sum(full_margin.waveform.samples ** 2)
-    assert e_default / e_full >= 0.99
+    est = rir.ctf_to_rir(identity_filter(L=L), cfgS)
+    assert est.waveform.samples.size == ((L - 1) * cfgS.hop
+                                         + 5 * cfgS.win_length)
+
+
+def test_crop_window_keeps_energy_of_compact_filters():
+    # the margins on either side of the filter's support hold next to
+    # none of the energy, so the crop cuts nothing off
+    x = rir.ctf_to_rir(CtfFilter(reflection_filter(4))).waveform.samples
+    edges = np.sum(x[:512] ** 2) + np.sum(x[-512:] ** 2)
+    assert edges / np.sum(x ** 2) < 0.01
 
 
 def test_all_zero_filter_warns_and_returns_zeros():
@@ -131,12 +143,3 @@ def test_all_zero_filter_warns_and_returns_zeros():
 def test_band_count_must_match_transform():
     with pytest.raises(ValueError, match="bands"):
         rir.ctf_to_rir(CtfFilter(np.ones((100, 5), complex)))
-
-
-def test_sweep_config_validation():
-    with pytest.raises(ValueError):
-        rir.SweepConfig(f1=0.0)
-    with pytest.raises(ValueError):
-        rir.SweepConfig(f1=100.0, f2=9000.0)  # above Nyquist
-    with pytest.raises(ValueError):
-        rir.SweepConfig(duration=0.1001)  # not an integer sample count

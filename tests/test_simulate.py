@@ -10,7 +10,7 @@ def test_synth_rir_cap_level_drr_is_pure_impulse():
     h = simulate.synth_rir(spec)
     tail = np.sum(h.samples ** 2) - 1.0
     assert tail < 1e-7
-    assert h.samples[spec.direct_delay] == 1.0
+    assert h.samples[simulate.DIRECT_DELAY] == 1.0
 
 
 @pytest.mark.parametrize("rt60", [0.3, 0.5, 0.8, 1.0])
