@@ -2,7 +2,7 @@
 
 RT60 comes from Schroeder's backward-integrated energy decay curve: a
 line is fitted by least squares to segments of the dB curve, candidate
-segments are enumerated between the point where the curve has dropped
+segments start every 1 ms between the point where the curve has dropped
 5 dB below its value at the direct-path peak and the point 50 ms after
 the peak, each segment ends where the curve has fallen a further 5 dB,
 and the fit with the largest |Pearson correlation| wins. RT60 is -60/k
@@ -13,8 +13,8 @@ energy everywhere else, in dB, capped at +80 dB: the cap is returned
 whenever the tail is 80 dB or more below the direct part, whatever the
 scale of the response.
 
-These heuristics are fixed module constants; only the RT60 candidate
-spacing is an argument.
+These heuristics are fixed module constants (``RT60_*``, ``DRR_*``), not
+arguments.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ EDC_DB_FLOOR = -120.0
 RT60_START_DB = 5.0      # fit starts lie between the point this far below
 RT60_MAX_START_S = 0.05  # the peak level and the point this long after it
 RT60_END_DROP_DB = 5.0   # each fit ends this far below its start
+RT60_START_STRIDE_S = 0.001  # spacing of the candidate fit starts
 DRR_DIRECT_S = 0.0025    # direct window, each side of the peak
 DRR_CAP_DB = 80.0
 
@@ -69,7 +70,7 @@ def edc(h: Waveform) -> EdcCurve:
     return EdcCurve(energy, db)
 
 
-def estimate_rt60(h: Waveform, start_stride: float = 0.001) -> AcousticParams:
+def estimate_rt60(h: Waveform) -> AcousticParams:
     """Reverberation time from the decay-curve slope.
 
     Parameters
@@ -80,8 +81,7 @@ def estimate_rt60(h: Waveform, start_stride: float = 0.001) -> AcousticParams:
         where the decay curve is RT60_START_DB below its value at the
         peak and the sample RT60_MAX_START_S after the peak; each fit
         ends at the first sample RT60_END_DROP_DB below its start.
-    start_stride : float
-        Candidate spacing in seconds.
+        Candidates are RT60_START_STRIDE_S apart.
 
     Raises
     ------
@@ -104,7 +104,7 @@ def estimate_rt60(h: Waveform, start_stride: float = 0.001) -> AcousticParams:
     n50 = peak + int(round(RT60_MAX_START_S * fs))
     lo, hi = min(n5, n50), max(n5, n50)
     hi = min(hi, n - 2)
-    stride = max(1, int(round(start_stride * fs)))
+    stride = max(1, int(round(RT60_START_STRIDE_S * fs)))
 
     best = None
     for s in range(lo, hi + 1, stride):

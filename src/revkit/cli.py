@@ -1,11 +1,12 @@
 """Command-line interface.
 
-Subcommands: dereverb, identify-rir, rt60, drr, simulate, eval.
-All pipeline knobs live in a flat key = value config file (``--config``);
-the engine's iteration count, filter length, smoothing and skipped bands,
-plus threads and seed, are also flags that win over the file.
-``--dump-config`` writes the effective configuration. Runs are
-deterministic given inputs, config and seed.
+Subcommands: dereverb, identify-rir, rt60, drr, simulate, eval. Each
+parses only the flags it reads. Settings come from a flat key = value
+config file (``--config``; every key loads on every command that takes
+one) and from flags that win over the file. ``--dump-config`` writes the
+effective configuration. A bad file, key or value exits with "invalid
+configuration: ..." before any output. Runs are deterministic given
+inputs, config and seed.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import scipy
 
 from . import (__version__, acoustics, evaluate, prior, rir, simulate, stft,
                vem, wavio)
-from .config import PipelineConfig, dump_config, load_config
+from .config import (KEYS, PipelineConfig, build_config, config_values,
+                     dump_config, parse_config)
 
 
 def _positive_int(text: str) -> int:
@@ -34,51 +36,48 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value config file")
-    parser.add_argument("--iters", type=_positive_int, default=None,
-                        help="VEM iterations")
-    parser.add_argument("--ctf-len", type=_positive_int, default=None,
-                        help="subband filter length in frames")
-    parser.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="posterior smoothing factor in [0, 1)")
-    parser.add_argument("--skip-bands", type=int, default=None,
-                        help="lowest frequency bands excluded from inference")
-    parser.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads (results are identical)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="random seed (simulation only)")
-    parser.add_argument("--trace", type=Path, default=None,
-                        help="write per-band likelihood trace CSV here")
     parser.add_argument("--dump-config", type=str, default=None, metavar="PATH",
                         help="write the effective config ('-' for stdout)")
 
 
-def _effective_config(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "default_iters", None) is not None:
-        cfg.max_iters = args.default_iters
-    if args.config is not None:
-        cfg = load_config(args.config, cfg)
-    overrides = {
-        "iters": "max_iters",
-        "ctf_len": "ctf_len",
-        "lam": "lam",
-        "skip_bands": "skip_low_bands",
-        "threads": "threads",
-        "seed": "seed",
-    }
-    for arg_name, field in overrides.items():
-        value = getattr(args, arg_name, None)
-        if value is not None:
-            setattr(cfg, field, value)
-    # Reject bad values before any input is read or config is dumped.
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    # each dest is the config key the flag overrides; an absent flag sets
+    # nothing, so the file's value (or the default) stands
+    _add_config(parser)
+    unset = argparse.SUPPRESS
+    parser.add_argument("--iters", dest="max_iters", type=int, default=unset,
+                        metavar="ITERS", help="VEM iterations")
+    parser.add_argument("--ctf-len", type=int, default=unset,
+                        help="subband filter length in frames")
+    parser.add_argument("--lambda", type=float, default=unset,
+                        help="posterior smoothing factor in [0, 1)")
+    parser.add_argument("--skip-bands", dest="skip_low_bands", type=int,
+                        default=unset, metavar="SKIP_BANDS",
+                        help="lowest frequency bands excluded from inference")
+    parser.add_argument("--threads", type=int, default=unset,
+                        help="worker threads (results are identical)")
+    parser.add_argument("--trace", type=Path, default=None,
+                        help="write per-band likelihood trace CSV here")
+
+
+def _effective_config(args, **defaults) -> PipelineConfig:
+    """The command's ``defaults``, then the ``--config`` file, then flags.
+
+    The merged settings are validated once; a bad file, key or value ends
+    the run before any input is read or any output is written.
+    """
+    values = dict(defaults)
     try:
-        cfg.stft_config()
-        cfg.vem_config()
-        if cfg.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if args.config is not None:
+            values.update(parse_config(args.config.read_text("utf-8")))
+        values.update((k, v) for k, v in vars(args).items() if k in KEYS)
+        cfg = build_config(values)
+    except OSError as exc:
+        raise SystemExit(f"invalid configuration: cannot read {args.config}: "
+                         f"{exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from None
     if args.dump_config is not None:
@@ -102,10 +101,7 @@ def _write_manifest(path, inputs, outputs, cfg, timings) -> None:
     manifest = {
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
-        "config": {
-            line.split(" = ")[0]: line.split(" = ")[1]
-            for line in dump_config(cfg).strip().splitlines()
-        },
+        "config": {k: str(v) for k, v in config_values(cfg).items()},
         "timings_s": timings,
         # FFT and BLAS output bits depend on the builds, so name them.
         "versions": {
@@ -125,7 +121,7 @@ def _load_prior(args, observed: stft.Spectrogram,
     if args.oracle is not None:
         ref = wavio.read_wav(args.oracle)
         return prior.oracle_from_reference(
-            ref, observed.config, floor=cfg.power_floor,
+            ref, observed.config, floor=cfg.vem.power_floor,
             expected_frames=observed.num_frames,
         )
     mag = prior.load_prior_file(args.prior)
@@ -134,7 +130,7 @@ def _load_prior(args, observed: stft.Spectrogram,
             f"prior file is {mag.shape[0]} x {mag.shape[1]}, observation is "
             f"{observed.data.shape[0]} x {observed.data.shape[1]}"
         )
-    return prior.from_magnitude(mag, floor=cfg.power_floor)
+    return prior.from_magnitude(mag, floor=cfg.vem.power_floor)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -158,7 +154,7 @@ def _run_vem(args, cfg: PipelineConfig):
     timings = {}
     t0 = time.perf_counter()
     wave = wavio.read_wav(args.input)
-    X = stft.forward(wave, cfg.stft_config())
+    X = stft.forward(wave, cfg.stft)
     timings["analysis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -166,7 +162,7 @@ def _run_vem(args, cfg: PipelineConfig):
     timings["prior"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    S_hat, H_hat, trace = vem.run(X, alpha, cfg.vem_config(),
+    S_hat, H_hat, trace = vem.run(X, alpha, cfg.vem,
                                   threads=cfg.threads)
     timings["vem"] = time.perf_counter() - t0
     if args.trace is not None:
@@ -175,7 +171,7 @@ def _run_vem(args, cfg: PipelineConfig):
 
 
 def cmd_dereverb(args) -> int:
-    cfg = _effective_config(args)
+    cfg = _effective_config(args, max_iters=100)
     _, S_hat, _, timings = _run_vem(args, cfg)
     t0 = time.perf_counter()
     out = stft.inverse(S_hat)
@@ -189,12 +185,12 @@ def cmd_dereverb(args) -> int:
 
 
 def cmd_identify_rir(args) -> int:
-    cfg = _effective_config(args)
+    cfg = _effective_config(args, max_iters=300)
     _, _, H_hat, timings = _run_vem(args, cfg)
 
     t0 = time.perf_counter()
-    est = rir.ctf_to_rir(H_hat, cfg.stft_config(),
-                         zero_low_bands=cfg.skip_low_bands)
+    est = rir.ctf_to_rir(H_hat, cfg.stft,
+                         zero_low_bands=cfg.vem.skip_low_bands)
     wavio.write_wav(args.output, est.waveform)
     timings["reconstruction"] = time.perf_counter() - t0
 
@@ -378,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="aligned direct-path reference WAV for the prior")
     p.add_argument("--prior", type=Path, default=None,
                    help="VPRI prior magnitude file")
-    _add_common(p)
-    p.set_defaults(func=cmd_dereverb, default_iters=100)
+    _add_engine(p)
+    p.set_defaults(func=cmd_dereverb)
 
     p = sub.add_parser("identify-rir",
                        help="estimate the room impulse response")
@@ -391,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior", type=Path, default=None)
     p.add_argument("--ctf-csv", type=Path, default=None,
                    help="also dump the filter taps as CSV")
-    _add_common(p)
-    p.set_defaults(func=cmd_identify_rir, default_iters=300)
+    _add_engine(p)
+    p.set_defaults(func=cmd_identify_rir)
 
     p = sub.add_parser("rt60", help="RT60 of impulse-response WAV file(s)")
     p.add_argument("inputs", type=Path, nargs="+")
@@ -417,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repetitions of the grid with fresh seeds")
     p.add_argument("--clean", type=Path, default=None,
                    help="use this WAV as the source instead of synthesizing")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="random seed of the first case (case k uses seed + k)")
+    _add_config(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="score estimated vs reference parameters")

@@ -1,13 +1,15 @@
 """Flat key = value configuration files for the pipeline.
 
-Every key can be overridden by the matching CLI flag, and ``--dump-config``
+``KEYS`` is the one table of settings: each file key names the part of
+``PipelineConfig`` it sets, the field, and the parser for its text. The
+CLI flags that override a key store under that key, and ``--dump-config``
 writes the effective configuration back in the same format, so a dumped
 file re-fed via ``--config`` reproduces a run exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, field
 
 from .stft import StftConfig
 from .vem import VemConfig
@@ -17,52 +19,36 @@ from .vem import VemConfig
 class PipelineConfig:
     """Everything that determines a pipeline run besides the input files."""
 
-    win_length: int = StftConfig.win_length
-    hop: int = StftConfig.hop
-    ctf_len: int = VemConfig.ctf_len
-    lam: float = VemConfig.ema          # config key "lambda"
-    max_iters: int = VemConfig.max_iters
-    skip_low_bands: int = VemConfig.skip_low_bands
-    delta_cap: float = VemConfig.delta_cap
-    jitter: float = VemConfig.jitter
-    power_floor: float = VemConfig.power_floor
+    stft: StftConfig = field(default_factory=StftConfig)
+    vem: VemConfig = field(default_factory=VemConfig)
     threads: int = 1
     seed: int = 0
 
-    def stft_config(self) -> StftConfig:
-        return StftConfig(win_length=self.win_length, hop=self.hop)
-
-    def vem_config(self) -> VemConfig:
-        return VemConfig(
-            ctf_len=self.ctf_len,
-            ema=self.lam,
-            max_iters=self.max_iters,
-            skip_low_bands=self.skip_low_bands,
-            delta_cap=self.delta_cap,
-            jitter=self.jitter,
-            power_floor=self.power_floor,
-        )
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
-# key name in the file -> (field name, parser)
-_KEYS = {
-    "win_length": ("win_length", int),
-    "hop": ("hop", int),
-    "ctf_len": ("ctf_len", int),
-    "lambda": ("lam", float),
-    "max_iters": ("max_iters", int),
-    "skip_low_bands": ("skip_low_bands", int),
-    "delta_cap": ("delta_cap", float),
-    "jitter": ("jitter", float),
-    "power_floor": ("power_floor", float),
-    "threads": ("threads", int),
-    "seed": ("seed", int),
+# key in the file -> (part of PipelineConfig, field, parser); part None is
+# the PipelineConfig itself. The order is the order of a dump.
+KEYS = {
+    "win_length": ("stft", "win_length", int),
+    "hop": ("stft", "hop", int),
+    "ctf_len": ("vem", "ctf_len", int),
+    "lambda": ("vem", "ema", float),
+    "max_iters": ("vem", "max_iters", int),
+    "skip_low_bands": ("vem", "skip_low_bands", int),
+    "delta_cap": ("vem", "delta_cap", float),
+    "jitter": ("vem", "jitter", float),
+    "power_floor": ("vem", "power_floor", float),
+    "threads": (None, "threads", int),
+    "seed": (None, "seed", int),
 }
 
 
-def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Parse ``key = value`` lines ('#' comments allowed) over ``base``."""
-    cfg = PipelineConfig(**asdict(base)) if base else PipelineConfig()
+def parse_config(text: str) -> dict:
+    """Parse ``key = value`` lines ('#' comments allowed) into {key: value}."""
+    values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,23 +56,32 @@ def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfi
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        if key not in KEYS:
             raise ValueError(f"line {lineno}: unknown key '{key}'")
-        name, cast = _KEYS[key]
         try:
-            setattr(cfg, name, cast(value))
+            values[key] = KEYS[key][2](value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for '{key}'") from exc
-    return cfg
+    return values
 
 
-def load_config(path, base: PipelineConfig | None = None) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read(), base)
+def build_config(values: dict) -> PipelineConfig:
+    """The validated configuration for {key: value}; absent keys default."""
+    parts = {"stft": {}, "vem": {}, None: {}}
+    for key, value in values.items():
+        part, name, _ = KEYS[key]
+        parts[part][name] = value
+    return PipelineConfig(stft=StftConfig(**parts["stft"]),
+                          vem=VemConfig(**parts["vem"]), **parts[None])
+
+
+def config_values(cfg: PipelineConfig) -> dict:
+    """{key: value} for every key of ``KEYS``, in its order."""
+    return {key: getattr(getattr(cfg, part) if part else cfg, name)
+            for key, (part, name, _) in KEYS.items()}
 
 
 def dump_config(cfg: PipelineConfig) -> str:
     """Render the configuration in the same key = value format."""
-    values = asdict(cfg)
-    lines = [f"{key} = {values[name]}" for key, (name, _) in _KEYS.items()]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {value}\n"
+                   for key, value in config_values(cfg).items())

@@ -38,10 +38,6 @@ class Waveform:
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass
 class StftConfig:
@@ -92,10 +88,6 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(self.data)):
             raise ValueError("spectrogram contains non-finite values")
-
-    @property
-    def num_bins(self) -> int:
-        return self.data.shape[0]
 
     @property
     def num_frames(self) -> int:

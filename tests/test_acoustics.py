@@ -86,7 +86,7 @@ def brute_force_rt60(h, fs, stride=1):
 
 def test_rt60_two_slope_matches_exhaustive_search():
     # fast early decay then a slow tail; the estimator must pick the
-    # same interval as the brute-force search over every candidate
+    # same interval as the brute-force search over the same 1 ms candidates
     fs = 16000
     n1, n2 = 1600, 14000
     fast = 10 ** (-200.0 / (20 * fs))  # -200 dB/s
@@ -94,8 +94,8 @@ def test_rt60_two_slope_matches_exhaustive_search():
     seg1 = fast ** np.arange(n1)
     seg2 = seg1[-1] * slow ** np.arange(1, n2 + 1)
     h = revkit.Waveform(np.concatenate([[1.0], seg1, seg2]), fs)
-    p = acoustics.estimate_rt60(h, start_stride=1.0 / fs)
-    rt_b, s_b, e_b, r_b = brute_force_rt60(h, fs, stride=1)
+    p = acoustics.estimate_rt60(h)
+    rt_b, s_b, e_b, r_b = brute_force_rt60(h, fs, stride=16)
     assert p.fit_start == s_b
     assert p.fit_end == e_b
     assert np.isclose(p.rt60, rt_b, rtol=1e-12)

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import scipy
 import revkit
 from revkit import prior, simulate, stft, wavio
 from revkit.cli import main
-from revkit.config import PipelineConfig, dump_config, load_config, parse_config
+from revkit.config import (KEYS, PipelineConfig, build_config, dump_config,
+                           parse_config)
 
 
 @pytest.fixture()
@@ -132,7 +134,11 @@ def test_trace_csv(tmp_path, identity_case):
     ("", ["--lambda", "1.5"], "lambda"),
     ("", ["--skip-bands", "-1"], "skip_low_bands"),
     ("hop = 100\n", [], "hop"),
-], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file"])
+    ("ctf_len = abc\n", [], "ctf_len"),
+    ("bogus = 1\n", [], "bogus"),
+    ("", ["--config", "no-such-dir/run.cfg"], "no-such-dir/run.cfg"),
+], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file",
+        "bad-value-file", "unknown-key-file", "missing-file"])
 def test_invalid_config_value_exits_before_any_output(tmp_path, identity_case,
                                                       file_text, flags, key):
     cfg_path = tmp_path / "run.cfg"
@@ -303,29 +309,55 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
 
 
 def test_config_parsing():
-    cfg = parse_config("""
+    values = parse_config("""
 # comment
 ctf_len = 12
 lambda = 0.5
 max_iters = 7
 """)
-    assert cfg.ctf_len == 12 and cfg.lam == 0.5 and cfg.max_iters == 7
+    assert values == {"ctf_len": 12, "lambda": 0.5, "max_iters": 7}
+    cfg = build_config(values)
+    assert cfg.vem.ctf_len == 12 and cfg.vem.ema == 0.5
+    assert cfg.vem.max_iters == 7
     with pytest.raises(ValueError, match="unknown key"):
         parse_config("bogus = 1")
     with pytest.raises(ValueError, match="bad value"):
         parse_config("ctf_len = abc")
 
 
-def test_pipeline_defaults_are_the_engine_and_transform_defaults():
-    assert PipelineConfig().vem_config() == revkit.VemConfig()
-    assert PipelineConfig().stft_config() == revkit.StftConfig()
+def test_config_dump_parses_back():
+    cfg = build_config({"ctf_len": 11, "lambda": 0.35, "seed": 99})
+    assert build_config(parse_config(dump_config(cfg))) == cfg
 
 
-def test_config_dump_parses_back(tmp_path):
-    cfg = PipelineConfig(ctf_len=11, lam=0.35, seed=99)
-    text = dump_config(cfg)
-    again = parse_config(text)
-    assert again == cfg
-    p = tmp_path / "c.cfg"
-    p.write_text(text)
-    assert load_config(p) == cfg
+def test_config_keys_cover_every_setting():
+    # a setting missing from KEYS would be left out of every dump
+    targets = {(part, name) for part, name, _ in KEYS.values()}
+    assert len(targets) == len(KEYS)
+    assert targets == (
+        {("stft", f.name) for f in fields(revkit.StftConfig)}
+        | {("vem", f.name) for f in fields(revkit.VemConfig)}
+        | {(None, "threads"), (None, "seed")}
+    )
+    assert {f.name for f in fields(PipelineConfig)} == {
+        "stft", "vem", "threads", "seed"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", ["--trace", "t.csv"]),
+    ("dereverb", ["--seed", "5"]),
+    ("identify-rir", ["--seed", "5"]),
+], ids=["simulate-trace", "dereverb-seed", "identify-rir-seed"])
+def test_commands_reject_flags_they_do_not_read(tmp_path, identity_case,
+                                                command, flag):
+    args = {
+        "simulate": [tmp_path / "data", "--duration", "0.5"],
+        "dereverb": [identity_case, tmp_path / "o.wav",
+                     "--oracle", identity_case, "--iters", "1"],
+        "identify-rir": [identity_case, tmp_path / "o.wav", "--params",
+                         tmp_path / "p.csv", "--oracle", identity_case,
+                         "--iters", "1"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *args, *flag)
+    assert exc.value.code == 2  # argparse's usage error
