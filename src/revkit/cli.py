@@ -97,7 +97,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(path, inputs, outputs, cfg, timings) -> None:
+def _write_manifest(args, outputs, cfg, timings) -> None:
+    """``<output>.manifest.json`` of a dereverb / identify-rir run."""
+    inputs = [args.input, args.oracle or args.prior]
     manifest = {
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
@@ -109,6 +111,7 @@ def _write_manifest(path, inputs, outputs, cfg, timings) -> None:
             "scipy": scipy.__version__, "python": platform.python_version(),
         },
     }
+    path = Path(str(args.output) + ".manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -167,47 +170,42 @@ def _run_vem(args, cfg: PipelineConfig):
     timings["vem"] = time.perf_counter() - t0
     if args.trace is not None:
         _write_trace(args.trace, trace)
-    return X, S_hat, H_hat, timings
+    return S_hat, H_hat, timings
 
 
 def cmd_dereverb(args) -> int:
     cfg = _effective_config(args, max_iters=100)
-    _, S_hat, _, timings = _run_vem(args, cfg)
+    S_hat, _, timings = _run_vem(args, cfg)
     t0 = time.perf_counter()
     out = stft.inverse(S_hat)
     wavio.write_wav(args.output, out)
     timings["synthesis"] = time.perf_counter() - t0
-    inputs = [args.input] + ([args.oracle] if args.oracle else [args.prior])
-    _write_manifest(Path(str(args.output) + ".manifest.json"),
-                    inputs, [args.output], cfg, timings)
+    _write_manifest(args, [args.output], cfg, timings)
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_identify_rir(args) -> int:
     cfg = _effective_config(args, max_iters=300)
-    _, _, H_hat, timings = _run_vem(args, cfg)
+    _, H_hat, timings = _run_vem(args, cfg)
 
     t0 = time.perf_counter()
-    est = rir.ctf_to_rir(H_hat, cfg.stft,
-                         zero_low_bands=cfg.vem.skip_low_bands)
+    est = rir.ctf_to_rir(H_hat, cfg.stft)
     wavio.write_wav(args.output, est.waveform)
     timings["reconstruction"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        p_rt = acoustics.estimate_rt60(est.waveform)
-        rt60_s, pearson = p_rt.rt60, p_rt.pearson_r
-        fit_start, fit_end = p_rt.fit_start, p_rt.fit_end
+        res = acoustics.estimate_rt60(est.waveform)
     except acoustics.InsufficientDecayError as exc:
         print(f"rt60: {exc}", file=sys.stderr)
-        rt60_s = pearson = fit_start = fit_end = None
-    drr_db = acoustics.estimate_drr(est.waveform).drr
+        res = acoustics.AcousticParams()
+    res.drr = acoustics.estimate_drr(est.waveform).drr
     timings["parameters"] = time.perf_counter() - t0
 
     _write_csv(args.params, ["rt60_s", "drr_db", "pearson_r", "fit_start",
                              "fit_end", "direct_index"],
-               [[rt60_s, drr_db, pearson, fit_start, fit_end,
+               [[res.rt60, res.drr, res.pearson_r, res.fit_start, res.fit_end,
                  est.direct_index]])
 
     outputs = [args.output, args.params]
@@ -219,10 +217,7 @@ def cmd_identify_rir(args) -> int:
             for f in range(F) for l in range(L)
         ))
         outputs.append(args.ctf_csv)
-
-    inputs = [args.input] + ([args.oracle] if args.oracle else [args.prior])
-    _write_manifest(Path(str(args.output) + ".manifest.json"),
-                    inputs, outputs, cfg, timings)
+    _write_manifest(args, outputs, cfg, timings)
     print(f"wrote {args.output} and {args.params}")
     return 0
 

@@ -7,7 +7,9 @@ excitation, emulating an intrusive measurement: a logarithmic sine sweep
 is analyzed, convolved with the filter taps along the frame axis in every
 band, resynthesized, and deconvolved with the sweep's inverse filter
 (time-reversed sweep with a -6 dB/octave amplitude envelope, after
-Farina). The deconvolved signal is the impulse-response estimate.
+Farina). The deconvolved signal is the impulse-response estimate. The
+filter is used exactly as given: the engine leaves the bands it excluded
+from inference at zero, so nothing here needs to know which they were.
 
 The sweep is fixed (62.5 Hz to 8 kHz over 8.192 s at 16 kHz, with
 256- and 128-sample fades), and so is the crop: the filter's time
@@ -84,9 +86,12 @@ def delta_position(sweep: Waveform, inv: Waveform) -> int:
     return int(np.argmax(np.abs(_convolve(sweep.samples, inv.samples))))
 
 
-def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
-               zero_low_bands: int = 3) -> RirEstimate:
+def ctf_to_rir(H: CtfFilter,
+               stft_cfg: StftConfig | None = None) -> RirEstimate:
     """Reconstruct an impulse-response waveform from subband filter taps.
+
+    Every band of ``H`` is used as given; a zero row (such as a band the
+    engine excluded from inference) adds nothing to the estimate.
 
     Parameters
     ----------
@@ -94,10 +99,6 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
         (F, L) taps; F must match the transform's bin count.
     stft_cfg : StftConfig, optional
         Transform settings (default transform).
-    zero_low_bands : int
-        Rows zeroed before reconstruction. Bands excluded from inference
-        carry a placeholder unit tap, which must not leak into the
-        estimate.
 
     Returns
     -------
@@ -121,9 +122,6 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
     E = forward(sweep, stft_cfg)
     T = E.num_frames
 
-    h_used = h.copy()
-    h_used[:zero_low_bands] = 0.0
-
     # Pseudo measurement: excitation frames filtered along time per band,
     # full length so the filter tail is retained. Guard frames of silence
     # keep all content inside the region of complete window overlap, where
@@ -132,7 +130,7 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
     # spectrum is the largest array of an identify-rir run.
     guard = stft_cfg.win_length // stft_cfg.hop
     FY = _spectrum(E.data, L)
-    FY *= _fft_padded(h_used, FY.shape[1])
+    FY *= _fft_padded(h, FY.shape[1])
     Y = np.pad(ifft(FY, out=FY)[:, : T + L - 1],
                ((0, 0), (guard, guard)))
     y = inverse(Spectrogram(Y, stft_cfg, scale=E.scale,
@@ -148,6 +146,5 @@ def ctf_to_rir(H: CtfFilter, stft_cfg: StftConfig | None = None,
     if not np.any(cropped):
         warnings.warn("all-zero filter produced an all-zero impulse response",
                       RuntimeWarning)
-        return RirEstimate(Waveform(cropped, sweep.sample_rate), 0)
     direct = int(np.argmax(np.abs(cropped)))
     return RirEstimate(Waveform(cropped, sweep.sample_rate), direct)

@@ -104,8 +104,8 @@ class VemConfig:
         change the posterior very slowly.
     max_iters : number of EM iterations.
     skip_low_bands : lowest bands excluded from inference (their output
-        spectrum is zeroed; speech has no content down there and the SNR
-        is hopeless).
+        spectrum and filter rows are zero; speech has no content down
+        there and the SNR is hopeless).
     delta_cap : upper clamp for the noise precision so a noiseless fit
         cannot overflow.
     jitter : relative Tikhonov term (times mean Gram diagonal) added to
@@ -314,7 +314,8 @@ def _run_chunk(X, alpha, cfg):
     FX, Fmu = _spectrum(X, L), _spectrum(mu, L)
     x2, log_alpha = _band_energy(X), np.log(alpha)
     trace = np.empty((iters + 1, X.shape[0]))
-    trace[0] = _loglik_arrays(X, alpha, mu, gamma, h, delta)
+    fit = _fit(*_normal_equations(FX, mu, Fmu, gamma, L), x2, h[:, ::-1])
+    trace[0] = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit)
 
     best_ll = np.full(X.shape[0], -np.inf)
     best_mu = np.zeros_like(mu)
@@ -409,10 +410,10 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
     -------
     (S_hat, H_hat, trace)
         ``S_hat``: posterior-mean spectrum, per band from the iteration
-        with the highest likelihood; skipped low bands are zero.
-        ``H_hat``: matching filter rows; skipped bands carry the unit
-        direct tap. ``trace``: (max_iters + 1, F) likelihood values,
-        row 0 evaluated at the initialization, NaN for skipped bands.
+        with the highest likelihood. ``H_hat``: matching filter rows.
+        ``trace``: (max_iters + 1, F) likelihood values, row 0 evaluated
+        at the initialization. Skipped bands are zero in ``S_hat`` and
+        ``H_hat`` and NaN in ``trace``.
     """
     if X.data.shape != alpha.shape:
         raise ValueError(
@@ -423,7 +424,6 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
 
     S = np.zeros((F, T), dtype=np.complex128)
     H = np.zeros((F, cfg.ctf_len), dtype=np.complex128)
-    H[:skip, 0] = 1.0
     trace = np.full((cfg.max_iters + 1, F), np.nan)
 
     chunks = [

@@ -184,7 +184,7 @@ def blind_round_trip():
         alpha = prior.oracle_from_reference(
             direct, X.config, expected_frames=X.num_frames)
         _, H_hat, _ = vem.run(X, alpha, vem.VemConfig(max_iters=300))
-        est = rir.ctf_to_rir(H_hat, X.config, zero_low_bands=3)
+        est = rir.ctf_to_rir(H_hat, X.config)
         rt_ref = acoustics.estimate_rt60(true_rir).rt60
         drr_ref = acoustics.estimate_drr(true_rir).drr
         rt_est = acoustics.estimate_rt60(est.waveform).rt60

@@ -3,8 +3,9 @@ import pytest
 from scipy.signal import fftconvolve, hilbert
 
 import revkit
-from revkit import rir
+from revkit import rir, vem
 from revkit.vem import CtfFilter
+from synthcases import blind_case
 
 
 def test_sweep_duration_and_start():
@@ -94,11 +95,29 @@ def test_linearity_in_filter():
 
 
 def test_zeroed_low_bands_leave_no_low_frequency_energy():
-    est = rir.ctf_to_rir(identity_filter(), zero_low_bands=3)
+    H = identity_filter()
+    H.h[:3] = 0.0
+    est = rir.ctf_to_rir(H)
     spec = np.abs(np.fft.rfft(est.waveform.samples))
     freqs = np.fft.rfftfreq(est.waveform.samples.size, 1 / 16000)
     low = np.sum(spec[freqs < 70.0] ** 2)
     assert low / np.sum(spec ** 2) < 1e-4
+
+
+def test_engine_output_reconstructs_without_re_deriving_skipped_bands():
+    # the bands the engine excludes are zero in its filter, so the plain
+    # ctf_to_rir call is right for any skip_low_bands
+    _, _, reverb, direct = blind_case(0.5, 0.0, 1234, duration=1.0)
+    X = revkit.forward(reverb)
+    alpha = revkit.oracle_from_reference(direct, X.config,
+                                         expected_frames=X.num_frames)
+    _, H, _ = vem.run(X, alpha, vem.VemConfig(max_iters=5, skip_low_bands=5))
+    h = H.h.copy()
+    h[:5] = 0.0
+    got = rir.ctf_to_rir(H, X.config)
+    want = rir.ctf_to_rir(CtfFilter(h), X.config)
+    np.testing.assert_array_equal(got.waveform.samples, want.waveform.samples)
+    assert got.direct_index == want.direct_index
 
 
 def reflection_filter(seed, F=257, L=12, n_refl=6):
