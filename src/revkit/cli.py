@@ -5,13 +5,15 @@ parses only the flags it reads. Settings come from a flat key = value
 config file (``--config``; every key loads on every command that takes
 one) and from flags that win over the file. ``--dump-config`` writes the
 effective configuration. A bad file, key or value exits with "invalid
-configuration: ..." before any output. Runs are deterministic given
+configuration: ..." before any output; so does an input file that cannot
+be read or used, with one line naming it. Runs are deterministic given
 inputs, config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -21,7 +23,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import (__version__, acoustics, evaluate, prior, rir, simulate, stft,
                vem, wavio)
@@ -80,13 +81,19 @@ def _effective_config(args, **defaults) -> PipelineConfig:
                          f"{exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from None
-    if args.dump_config is not None:
-        text = dump_config(cfg)
-        if args.dump_config == "-":
-            sys.stdout.write(text)
-        else:
-            Path(args.dump_config).write_text(text)
     return cfg
+
+
+def _write_dump(args, cfg: PipelineConfig) -> None:
+    """``--dump-config``, written once the inputs have loaded, so a run that
+    fails on them leaves no output."""
+    if args.dump_config is None:
+        return
+    text = dump_config(cfg)
+    if args.dump_config == "-":
+        sys.stdout.write(text)
+    else:
+        Path(args.dump_config).write_text(text)
 
 
 def _sha256(path) -> str:
@@ -106,10 +113,8 @@ def _write_manifest(args, outputs, cfg, timings) -> None:
         "config": {k: str(v) for k, v in config_values(cfg).items()},
         "timings_s": timings,
         # FFT and BLAS output bits depend on the builds, so name them.
-        "versions": {
-            "revkit": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__, "python": platform.python_version(),
-        },
+        "versions": {"revkit": __version__, "numpy": np.__version__,
+                     "python": platform.python_version()},
     }
     path = Path(str(args.output) + ".manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -117,23 +122,39 @@ def _write_manifest(args, outputs, cfg, timings) -> None:
         fh.write("\n")
 
 
-def _load_prior(args, observed: stft.Spectrogram,
-                cfg: PipelineConfig) -> prior.PriorPrecision:
+def _fault(path, exc: Exception) -> str:
+    """One line naming ``path`` for an OSError or ValueError about it."""
+    if isinstance(exc, OSError):
+        return f"{path}: {exc.strerror or exc}"
+    return f"{path}: {str(exc).removeprefix(f'{path}: ')}"
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """Exit with status 1 and one line if ``path`` cannot be read or used."""
+    try:
+        yield
+    except (OSError, ValueError) as exc:
+        raise SystemExit(_fault(path, exc)) from None
+
+
+def _load_prior(args, observed: stft.Spectrogram) -> prior.PriorPrecision:
     if (args.oracle is None) == (args.prior is None):
         raise SystemExit("exactly one of --oracle or --prior is required")
     if args.oracle is not None:
-        ref = wavio.read_wav(args.oracle)
-        return prior.oracle_from_reference(
-            ref, observed.config, floor=cfg.vem.power_floor,
-            expected_frames=observed.num_frames,
-        )
-    mag = prior.load_prior_file(args.prior)
-    if mag.shape != observed.data.shape:
-        raise SystemExit(
-            f"prior file is {mag.shape[0]} x {mag.shape[1]}, observation is "
-            f"{observed.data.shape[0]} x {observed.data.shape[1]}"
-        )
-    return prior.from_magnitude(mag, floor=cfg.vem.power_floor)
+        with _reading(args.oracle):
+            return prior.oracle_from_reference(
+                wavio.read_wav(args.oracle), observed.config,
+                expected_frames=observed.num_frames,
+            )
+    with _reading(args.prior):
+        mag = prior.load_prior_file(args.prior)
+        if mag.shape != observed.data.shape:
+            raise SystemExit(
+                f"prior file is {mag.shape[0]} x {mag.shape[1]}, observation "
+                f"is {observed.data.shape[0]} x {observed.data.shape[1]}"
+            )
+        return prior.from_magnitude(mag)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -156,13 +177,14 @@ def _run_vem(args, cfg: PipelineConfig):
     """Shared front half of dereverb / identify-rir."""
     timings = {}
     t0 = time.perf_counter()
-    wave = wavio.read_wav(args.input)
-    X = stft.forward(wave, cfg.stft)
+    with _reading(args.input):
+        X = stft.forward(wavio.read_wav(args.input), cfg.stft)
     timings["analysis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    alpha = _load_prior(args, X, cfg)
+    alpha = _load_prior(args, X)
     timings["prior"] = time.perf_counter() - t0
+    _write_dump(args, cfg)
 
     t0 = time.perf_counter()
     S_hat, H_hat, trace = vem.run(X, alpha, cfg.vem,
@@ -226,15 +248,17 @@ def _params_batch(args, estimator, columns, describe) -> int:
     """Shared rt60 / drr loop: one stdout line and one CSV row per input.
 
     ``columns`` maps CSV column names to ``AcousticParams`` fields. An
-    input without enough decay gets blank fields and exit status 1.
+    input that cannot be read or has too little decay
+    (``InsufficientDecayError`` is a ``ValueError``) gets a message line,
+    blank fields and exit status 1; the other inputs are still processed.
     """
     rows = []
     status = 0
     for p in args.inputs:
         try:
             res = estimator(wavio.read_wav(p))
-        except acoustics.InsufficientDecayError as exc:
-            print(f"{p}: {exc}")
+        except (OSError, ValueError) as exc:
+            print(_fault(p, exc))
             rows.append([str(p)] + [""] * len(columns))
             status = 1
             continue
@@ -266,15 +290,16 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_simulate(args) -> int:
     cfg = _effective_config(args)
+    clean_src = None
+    if args.clean is not None:
+        with _reading(args.clean):
+            clean_src = wavio.read_wav(args.clean)
+    _write_dump(args, cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     rt60s = _parse_grid(args.rt60)
     drrs = _parse_grid(args.drr)
     fs = 16000
-
-    clean_src = None
-    if args.clean is not None:
-        clean_src = wavio.read_wav(args.clean)
 
     rows = []
     case = 0
@@ -319,7 +344,7 @@ def cmd_simulate(args) -> int:
 
 def _read_params_csv(path) -> list[tuple[float, float]]:
     pairs = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {
             "rt60_s", "drr_db"

@@ -38,9 +38,6 @@ KEYS = {
     "lambda": ("vem", "ema", float),
     "max_iters": ("vem", "max_iters", int),
     "skip_low_bands": ("vem", "skip_low_bands", int),
-    "delta_cap": ("vem", "delta_cap", float),
-    "jitter": ("vem", "jitter", float),
-    "power_floor": ("vem", "power_floor", float),
     "threads": (None, "threads", int),
     "seed": (None, "seed", int),
 }

@@ -1,8 +1,8 @@
 """Anechoic-speech prior precision built from magnitude spectra.
 
 The prior on each T-F bin of the dry spectrum is a zero-mean complex
-Gaussian whose precision is the inverse of the (floored) magnitude power:
-alpha(f, t) = 1 / max(|S(f, t)|^2, floor). Magnitudes can come from a
+Gaussian whose precision is the inverse of the floored magnitude power:
+alpha(f, t) = 1 / max(|S(f, t)|^2, POWER_FLOOR). Magnitudes can come from a
 clean reference waveform (oracle use), or from a VPRI file exported by an
 external enhancer. The precision matrix is held fixed while the inference
 engine iterates.
@@ -21,7 +21,9 @@ import numpy as np
 
 from .stft import StftConfig, Waveform, forward
 
-DEFAULT_POWER_FLOOR = 1e-10
+# Numerical guard, not a model parameter: every precision, here and in the
+# engine, is 1 / max(power, POWER_FLOOR), so a silent bin's stays finite.
+POWER_FLOOR = 1e-10
 
 _MAGIC = b"VPRI"
 _VERSION = 1
@@ -45,21 +47,17 @@ class PriorPrecision:
         return self.alpha.shape
 
 
-def from_magnitude(mag: np.ndarray,
-                   floor: float = DEFAULT_POWER_FLOOR) -> PriorPrecision:
-    """Precision from a magnitude matrix: 1 / max(mag^2, floor)."""
+def from_magnitude(mag: np.ndarray) -> PriorPrecision:
+    """Precision from a magnitude matrix: 1 / max(mag^2, POWER_FLOOR)."""
     mag = np.asarray(mag, dtype=np.float64)
     if not np.all(np.isfinite(mag)):
         raise ValueError("magnitude matrix contains non-finite values")
     if np.any(mag < 0):
         raise ValueError("magnitudes must be non-negative")
-    if floor <= 0:
-        raise ValueError("power floor must be positive")
-    return PriorPrecision(1.0 / np.maximum(mag ** 2, floor))
+    return PriorPrecision(1.0 / np.maximum(mag ** 2, POWER_FLOOR))
 
 
 def oracle_from_reference(clean: Waveform, cfg: StftConfig | None = None,
-                          floor: float = DEFAULT_POWER_FLOOR,
                           expected_frames: int | None = None) -> PriorPrecision:
     """Ideal precision from an aligned direct-path reference waveform.
 
@@ -83,7 +81,7 @@ def oracle_from_reference(clean: Waveform, cfg: StftConfig | None = None,
         elif T < expected_frames:
             pad = np.zeros((mag.shape[0], expected_frames - T))
             mag = np.concatenate([mag, pad], axis=1)
-    return from_magnitude(mag, floor=floor)
+    return from_magnitude(mag)
 
 
 def save_prior_file(path, mag: np.ndarray) -> None:

@@ -104,9 +104,12 @@ def num_frames(num_samples: int, cfg: StftConfig) -> int:
     return 1 + (num_samples - cfg.win_length) // cfg.hop
 
 
-def forward(wave: Waveform, cfg: StftConfig | None = None,
-            normalize: bool = True) -> Spectrogram:
+def forward(wave: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
     """Analyze a waveform into a complex spectrogram.
+
+    The waveform is divided by its max absolute sample first, and the
+    factor is stored in ``Spectrogram.scale`` (a silent input keeps scale
+    1); ``spec.data * spec.scale`` is the analysis of the waveform as given.
 
     Parameters
     ----------
@@ -114,9 +117,6 @@ def forward(wave: Waveform, cfg: StftConfig | None = None,
         Input signal; must be at least one window long.
     cfg : StftConfig, optional
         Transform configuration (512/128 Hann by default).
-    normalize : bool
-        Divide by the max absolute sample before analysis and store the
-        factor in ``Spectrogram.scale``. A silent input keeps scale 1.
 
     Returns
     -------
@@ -126,12 +126,9 @@ def forward(wave: Waveform, cfg: StftConfig | None = None,
         cfg = StftConfig()
     x = wave.samples
     T = num_frames(x.size, cfg)
-    scale = 1.0
-    if normalize:
-        peak = float(np.max(np.abs(x)))
-        if peak > 0.0:
-            scale = peak
-            x = x / scale
+    peak = float(np.max(np.abs(x)))
+    scale = peak if peak > 0.0 else 1.0
+    x = x / scale
     frames = sliding_window_view(x, cfg.win_length)[:: cfg.hop][:T]
     spec = np.fft.rfft(frames * cfg.window, n=cfg.win_length, axis=1)
     return Spectrogram(spec.T, cfg, scale=scale, sample_rate=wave.sample_rate)

@@ -40,13 +40,17 @@ import numpy as np
 from numpy.fft import fft, ifft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .prior import DEFAULT_POWER_FLOOR, PriorPrecision
+from .prior import POWER_FLOOR, PriorPrecision
 from .stft import Spectrogram, _next_fast_len
 
 # Bands per work unit. Fixed (not derived from the thread count) so that
 # chunk boundaries, and therefore every floating-point result, are
 # identical for any number of workers.
 _BAND_CHUNK = 64
+
+# Numerical guards, not model parameters:
+DELTA_CAP = 1e12  # noise-precision ceiling, so a noiseless fit cannot overflow
+JITTER = 1e-8  # M-step Tikhonov term, relative to the mean Gram diagonal
 
 
 @dataclass
@@ -106,20 +110,15 @@ class VemConfig:
     skip_low_bands : lowest bands excluded from inference (their output
         spectrum and filter rows are zero; speech has no content down
         there and the SNR is hopeless).
-    delta_cap : upper clamp for the noise precision so a noiseless fit
-        cannot overflow.
-    jitter : relative Tikhonov term (times mean Gram diagonal) added to
-        the M-step normal equations.
-    power_floor : minimum power before any inversion.
+
+    The numerical guards are the module constants ``DELTA_CAP``,
+    ``JITTER`` and ``prior.POWER_FLOOR``.
     """
 
     ctf_len: int = 30
     ema: float = 0.7
     max_iters: int = 100
     skip_low_bands: int = 3
-    delta_cap: float = 1e12
-    jitter: float = 1e-8
-    power_floor: float = DEFAULT_POWER_FLOOR
 
     def __post_init__(self):
         if self.ctf_len < 1:
@@ -130,8 +129,6 @@ class VemConfig:
             raise ValueError("max_iters must be >= 1")
         if self.skip_low_bands < 0:
             raise ValueError("skip_low_bands must be >= 0")
-        if self.delta_cap <= 0 or self.jitter < 0 or self.power_floor <= 0:
-            raise ValueError("delta_cap/jitter/power_floor out of range")
 
 
 @dataclass
@@ -146,14 +143,14 @@ class VemState:
 # ---------------------------------------------------------------------------
 # Array kernels. All operate on (F, T) rows independently.
 
-def _init_arrays(X, cfg):
+def _init_arrays(X, L):
     power = X.real ** 2 + X.imag ** 2
-    gamma = 1.0 / np.maximum(power, cfg.power_floor)
+    gamma = 1.0 / np.maximum(power, POWER_FLOOR)
     mu = np.zeros_like(X)
-    h = np.zeros((X.shape[0], cfg.ctf_len), dtype=np.complex128)
+    h = np.zeros((X.shape[0], L), dtype=np.complex128)
     h[:, 0] = 1.0
-    delta = 1.0 / np.maximum(power.min(axis=1), cfg.power_floor)
-    delta = np.minimum(delta, cfg.delta_cap)
+    delta = 1.0 / np.maximum(power.min(axis=1), POWER_FLOOR)
+    delta = np.minimum(delta, DELTA_CAP)
     return mu, gamma, h, delta
 
 
@@ -259,7 +256,7 @@ def _fit(G, b, x2, hv):
     return np.maximum(x2 - cross + quad, 0.0)
 
 
-def _m_step_arrays(x2, FX, mu, Fmu, gamma, L, cfg):
+def _m_step_arrays(x2, FX, mu, Fmu, gamma, L):
     """x2 is the ``_band_energy`` of the observation, FX and Fmu the
     ``_spectrum`` of it and of mu."""
     T = mu.shape[1]
@@ -267,7 +264,7 @@ def _m_step_arrays(x2, FX, mu, Fmu, gamma, L, cfg):
     G, b = _normal_equations(FX, mu, Fmu, gamma, L)
 
     diag_mean = np.sum(G[:, idx, idx].real, axis=1) / L
-    jit = np.where(diag_mean > 0, cfg.jitter * diag_mean, 1e-30)
+    jit = np.where(diag_mean > 0, JITTER * diag_mean, 1e-30)
     # Row-vector solve hv . Gj = b via the transposed system, Gj^T = Gj*.
     Gjc = np.conj(G)
     Gjc[:, idx, idx] += jit[:, None]
@@ -283,7 +280,7 @@ def _m_step_arrays(x2, FX, mu, Fmu, gamma, L, cfg):
     residual = _fit(G, b, x2, hv)
     with np.errstate(divide="ignore"):
         delta = np.where(residual > 0.0, T / residual, np.inf)
-    delta = np.minimum(delta, cfg.delta_cap)
+    delta = np.minimum(delta, DELTA_CAP)
 
     h_new = hv[:, ::-1].copy()  # back to lag order, h[:, 0] = current tap
     return delta, h_new, n_warn, residual
@@ -307,7 +304,7 @@ def _loglik_arrays(X, alpha, mu, gamma, h, delta):
 def _run_chunk(X, alpha, cfg):
     """Full EM loop for one block of bands; returns best snapshots and trace."""
     iters, L = cfg.max_iters, cfg.ctf_len
-    mu, gamma, h, delta = _init_arrays(X, cfg)
+    mu, gamma, h, delta = _init_arrays(X, L)
     # One spectrum of X per chunk; each mu's spectrum serves the M-step that
     # follows its E-step and the next E-step. ||X||^2 and log alpha are
     # likewise fixed for the whole loop.
@@ -327,7 +324,7 @@ def _run_chunk(X, alpha, cfg):
         lam = cfg.ema if it > 1 else 0.0
         mu, gamma = _e_step_arrays(FX, alpha, mu, Fmu, gamma, h, delta, lam)
         Fmu = _spectrum(mu, L)
-        delta, h, w, fit = _m_step_arrays(x2, FX, mu, Fmu, gamma, L, cfg)
+        delta, h, w, fit = _m_step_arrays(x2, FX, mu, Fmu, gamma, L)
         n_warn += w
         ll = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit)
         trace[it] = ll
@@ -348,7 +345,7 @@ def init(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig) -> VemState:
         raise ValueError(
             f"observation {X.data.shape} and prior {alpha.shape} disagree"
         )
-    mu, gamma, h, delta = _init_arrays(X.data, cfg)
+    mu, gamma, h, delta = _init_arrays(X.data, cfg.ctf_len)
     return VemState(
         posterior=Posterior(mu, gamma),
         filter=CtfFilter(h),
@@ -370,11 +367,11 @@ def e_step(state: VemState, X: Spectrogram, alpha: PriorPrecision,
 def m_step(state: VemState, X: Spectrogram,
            cfg: VemConfig) -> tuple[NoisePrecision, CtfFilter]:
     """Per-band normal-equations filter update, then the noise precision
-    evaluated at the new filter (clamped to (0, delta_cap])."""
+    evaluated at the new filter (clamped to (0, DELTA_CAP])."""
     mu, L = state.posterior.mu, cfg.ctf_len
     delta, h, n_warn, _ = _m_step_arrays(
         _band_energy(X.data), _spectrum(X.data, L), mu, _spectrum(mu, L),
-        state.posterior.gamma, L, cfg,
+        state.posterior.gamma, L,
     )
     if n_warn:
         warnings.warn("singular Gram matrix; jitter increased", RuntimeWarning)

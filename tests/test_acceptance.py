@@ -74,11 +74,10 @@ def test_criterion_03_m_step_least_squares_oracle():
     X = np.zeros(T, complex)
     for l in range(L):
         X[l:] += H_true[l] * S[: T - l]
-    cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
     Xr, Sr = X[None, :], S[None, :]
     _, h, _, _ = vem._m_step_arrays(vem._band_energy(Xr), vem._spectrum(Xr, L),
-                                    Sr, vem._spectrum(Sr, L), gamma, L, cfg)
+                                    Sr, vem._spectrum(Sr, L), gamma, L)
 
     # independent normal-equations construction and solve
     G = np.zeros((L, L), complex)
@@ -89,7 +88,7 @@ def test_criterion_03_m_step_least_squares_oracle():
         w = mu_pad[t: t + L]
         G += np.outer(w, np.conj(w)) + np.diag(var_pad[t: t + L])
         b += X[t] * np.conj(w)
-    G += (cfg.jitter * np.trace(G).real / L) * np.eye(L)
+    G += (vem.JITTER * np.trace(G).real / L) * np.eye(L)
     h_ref = (b @ np.linalg.inv(G))[::-1]
 
     solve_err = np.max(np.abs(h[0] - h_ref))

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 import revkit
 from revkit import prior, simulate, stft, wavio
@@ -64,7 +63,7 @@ def test_manifest_names_the_running_versions(tmp_path, identity_case):
         versions = json.load(fh)["versions"]
     assert versions == {
         "revkit": revkit.__version__, "numpy": np.__version__,
-        "scipy": scipy.__version__, "python": platform.python_version(),
+        "python": platform.python_version(),
     }
 
 
@@ -137,8 +136,10 @@ def test_trace_csv(tmp_path, identity_case):
     ("ctf_len = abc\n", [], "ctf_len"),
     ("bogus = 1\n", [], "bogus"),
     ("", ["--config", "no-such-dir/run.cfg"], "no-such-dir/run.cfg"),
+    ("jitter = 1e-6\n", [], "unknown key 'jitter'"),
 ], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file",
-        "bad-value-file", "unknown-key-file", "missing-file"])
+        "bad-value-file", "unknown-key-file", "missing-file",
+        "numerical-guard-file"])
 def test_invalid_config_value_exits_before_any_output(tmp_path, identity_case,
                                                       file_text, flags, key):
     cfg_path = tmp_path / "run.cfg"
@@ -293,19 +294,99 @@ def test_wav_contract_rejections(tmp_path):
         wavio.read_wav(bad_fmt)
 
 
+def fresh_python(*args):
+    """A fresh interpreter on this revkit, as a command runs."""
+    src = str(Path(revkit.__file__).resolve().parent.parent)
+    return subprocess.run([sys.executable, *(str(a) for a in args)],
+                          text=True, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     # scipy.signal and scipy.stats cost ~0.8 s of start-up on every command,
     # scipy.fft and scipy.io (with scipy.special) ~0.3 s more, and the CLI
-    # needs none of them; a fresh interpreter shows what the import pulls in
-    code = ("import sys, revkit.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'signal'], "
-            "['scipy', 'stats'], ['scipy', 'fft'], ['scipy', 'io'], "
-            "['scipy', 'special'])))")
-    src = str(Path(revkit.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "[]"
+    # needs none of scipy; a fresh interpreter shows what the import pulls in
+    out = fresh_python("-c", "import sys, revkit.cli; print(sorted(m for m "
+                       "in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert out.returncode == 0 and out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command, fault, message", [
+    ("dereverb", "input-not-wav", "not a RIFF/WAVE file"),
+    ("dereverb", "input-too-short", "input too short"),
+    ("dereverb", "oracle-length", "length mismatch"),
+    ("dereverb", "prior-bad-magic", "bad magic"),
+    ("dereverb", "input-missing", "No such file or directory"),
+    ("identify-rir", "oracle-missing", "No such file or directory"),
+    ("simulate", "clean-not-wav", "not a RIFF/WAVE file"),
+    ("eval", "estimates-missing", "No such file or directory"),
+], ids=["dereverb-input-not-wav", "dereverb-input-too-short",
+        "dereverb-oracle-length", "dereverb-prior-bad-magic",
+        "dereverb-input-missing", "identify-rir-oracle-missing",
+        "simulate-clean-not-wav", "eval-estimates-missing"])
+def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
+                                            fault, message):
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"not a wav file")
+    short = tmp_path / "short.wav"
+    wavio.write_wav(short, revkit.Waveform(np.ones(100), 16000))
+    long_ref = tmp_path / "long.wav"
+    x = wavio.read_wav(identity_case).samples
+    wavio.write_wav(long_ref, revkit.Waveform(np.tile(x, 2), 16000))
+    vpri = tmp_path / "bad.vpri"
+    vpri.write_bytes(b"NOPE" + b"\x00" * 12)
+    missing = tmp_path / "missing.wav"
+    params = tmp_path / "params.csv"
+    params.write_text("rt60_s,drr_db\n0.5,3.0\n")
+
+    out = tmp_path / "out.wav"
+    dump = ["--dump-config", tmp_path / "run.cfg"]
+    source, argv = {
+        "input-not-wav": (bad, [bad, out, "--oracle", identity_case]),
+        "input-too-short": (short, [short, out, "--oracle", short]),
+        "oracle-length": (long_ref, [identity_case, out,
+                                     "--oracle", long_ref]),
+        "prior-bad-magic": (vpri, [identity_case, out, "--prior", vpri]),
+        "input-missing": (missing, [missing, out, "--oracle", identity_case]),
+        "oracle-missing": (missing, [identity_case, out, "--params",
+                                     tmp_path / "p.csv", "--oracle",
+                                     missing]),
+        "clean-not-wav": (bad, [tmp_path / "data", "--clean", bad]),
+        "estimates-missing": (missing, [missing, params]),
+    }[fault]
+    before = set(tmp_path.iterdir())
+    proc = fresh_python("-m", "revkit.cli", command, *argv,
+                        *(dump if command != "eval" else []))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith(f"{source}: ") and message in proc.stderr
+    assert proc.stdout == ""
+    assert set(tmp_path.iterdir()) == before  # no output of any kind
+
+
+@pytest.mark.parametrize("command", ["rt60", "drr"])
+def test_params_commands_report_unreadable_files(tmp_path, command):
+    # an unreadable file is reported like one with too little decay; the
+    # files after it are still measured
+    bad = tmp_path / "bad.wav"
+    bad.write_bytes(b"not a wav file")
+    missing = tmp_path / "missing.wav"
+    good = tmp_path / "rir.wav"
+    wavio.write_wav(good, simulate.synth_rir(
+        simulate.SynthRirSpec(rt60=0.5, drr=5.0, seed=7)))
+    csv_out = tmp_path / "out.csv"
+    proc = fresh_python("-m", "revkit.cli", command, bad, missing, good,
+                        "--csv", csv_out)
+    assert proc.returncode == 1 and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"{bad}: not a RIFF/WAVE file"
+    assert lines[1] == f"{missing}: No such file or directory"
+    assert lines[2].startswith(f"{good}: {command}=")
+    with open(csv_out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[0] for r in rows] == [str(bad), str(missing), str(good)]
+    assert set(rows[0][1:]) == set(rows[1][1:]) == {""}
+    assert all(rows[2][1:])
 
 
 def test_config_parsing():

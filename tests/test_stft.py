@@ -49,10 +49,11 @@ def test_unit_impulse_first_frame():
 def test_columns_match_naive_dft():
     cfg = revkit.StftConfig()
     wave = random_wave(3, 16000)
-    spec = stft.forward(wave, cfg, normalize=False)
+    spec = stft.forward(wave, cfg)
+    data = spec.data * spec.scale
     for t in (0, 1, 57, spec.num_frames - 1):
         np.testing.assert_allclose(
-            spec.data[:, t], naive_frame_dft(wave.samples, cfg, t),
+            data[:, t], naive_frame_dft(wave.samples, cfg, t),
             atol=1e-9,
         )
 
@@ -83,11 +84,12 @@ def test_projection_idempotent():
     data[0] = data[0].real
     data[-1] = data[-1].real
     spec = revkit.Spectrogram(data, cfg, 1.0)
-    once = stft.forward(stft.inverse(spec), cfg, normalize=False)
-    twice = stft.forward(stft.inverse(once), cfg, normalize=False)
+    once = stft.forward(stft.inverse(spec), cfg)
+    twice = stft.forward(stft.inverse(once), cfg)
     assert once.data.shape[1] <= 40
     np.testing.assert_allclose(
-        twice.data[:, 1:-1], once.data[:, : twice.num_frames][:, 1:-1],
+        (twice.data * twice.scale)[:, 1:-1],
+        (once.data * once.scale)[:, : twice.num_frames][:, 1:-1],
         atol=1e-9,
     )
 
@@ -124,10 +126,10 @@ def test_energy_consistency_parseval():
     # windowed frame energy matches spectrum energy per rfft conventions
     cfg = revkit.StftConfig()
     wave = random_wave(9, 4096)
-    spec = stft.forward(wave, cfg, normalize=False)
+    spec = stft.forward(wave, cfg)
     t = 10
     frame = wave.samples[t * cfg.hop: t * cfg.hop + cfg.win_length] * cfg.window
-    col = spec.data[:, t]
+    col = spec.data[:, t] * spec.scale
     spec_energy = (np.abs(col[0]) ** 2 + np.abs(col[-1]) ** 2
                    + 2 * np.sum(np.abs(col[1:-1]) ** 2)) / cfg.win_length
     assert np.isclose(spec_energy, np.sum(frame ** 2), rtol=1e-10)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import revkit
-from revkit import evaluate, vem
+from revkit import evaluate, prior, vem
 from synthcases import speechlike_tf_instance, tf_spectrogram
 
 
@@ -46,7 +46,7 @@ def test_init_all_zero_band_floored():
     ap = revkit.PriorPrecision(np.full((257, 8), 1e10))
     cfg = vem.VemConfig(skip_low_bands=0)
     st = vem.init(Xs, ap, cfg)
-    assert np.all(st.noise.delta == 1.0 / cfg.power_floor)
+    assert np.all(st.noise.delta == 1.0 / prior.POWER_FLOOR)
     assert np.all(np.isfinite(st.posterior.gamma))
 
 
@@ -124,10 +124,10 @@ def test_e_step_matches_brute_force_short_input(T, L):
     check_e_step_against_brute_force(3, T, L)
 
 
-def m_step_arrays(X, mu, gamma, L, cfg):
+def m_step_arrays(X, mu, gamma, L):
     """The M-step kernel fed with the spectra ``vem.run`` gives it."""
     return vem._m_step_arrays(vem._band_energy(X), vem._spectrum(X, L), mu,
-                              vem._spectrum(mu, L), gamma, L, cfg)
+                              vem._spectrum(mu, L), gamma, L)
 
 
 def brute_force_m_step(Xr, mur, varr, L, jitter):
@@ -175,28 +175,26 @@ def test_m_step_recovers_known_filter_noiseless():
     X = np.zeros(T, complex)
     for l in range(L):
         X[l:] += H_true[l] * S[: T - l]
-    cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    delta, h, _, _ = m_step_arrays(X[None, :], S[None, :], gamma, L, cfg)
+    delta, h, _, _ = m_step_arrays(X[None, :], S[None, :], gamma, L)
     assert np.linalg.norm(h[0] - H_true) / np.linalg.norm(H_true) < 1e-6
     # matches the independent brute-force solve much tighter
-    h_b = brute_force_m_step(X, S, np.full(T, 1e-30), L, cfg.jitter)
+    h_b = brute_force_m_step(X, S, np.full(T, 1e-30), L, vem.JITTER)
     assert np.max(np.abs(h[0] - h_b)) < 1e-9
     # noiseless residual drives the precision into the cap
-    assert delta[0] == cfg.delta_cap
+    assert delta[0] == vem.DELTA_CAP
 
 
 def test_m_step_identity_channel():
     rng = np.random.default_rng(4)
     T, L = 200, 4
     S = rng.standard_normal(T) + 1j * rng.standard_normal(T)
-    cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
     gamma = np.full((1, T), 1e30)
-    _, h, _, _ = m_step_arrays(S[None, :], S[None, :], gamma, L, cfg)
+    _, h, _, _ = m_step_arrays(S[None, :], S[None, :], gamma, L)
     e0 = np.zeros(L, complex)
     e0[0] = 1.0
     assert np.linalg.norm(h[0] - e0) < 1e-6
-    h_b = brute_force_m_step(S, S, np.full(T, 1e-30), L, cfg.jitter)
+    h_b = brute_force_m_step(S, S, np.full(T, 1e-30), L, vem.JITTER)
     assert np.max(np.abs(h[0] - h_b)) < 1e-9
 
 
@@ -205,10 +203,9 @@ def check_m_step_against_brute_force(F, T, L, seed=5):
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     mu = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     gamma = rng.uniform(0.5, 5.0, (F, T))
-    cfg = vem.VemConfig(ctf_len=L, skip_low_bands=0)
-    delta, h, _, _ = m_step_arrays(X, mu, gamma, L, cfg)
+    delta, h, _, _ = m_step_arrays(X, mu, gamma, L)
     for f in range(F):
-        h_b = brute_force_m_step(X[f], mu[f], 1.0 / gamma[f], L, cfg.jitter)
+        h_b = brute_force_m_step(X[f], mu[f], 1.0 / gamma[f], L, vem.JITTER)
         assert np.max(np.abs(h[f] - h_b)) < 1e-9
         # the noise precision is T over the expected residual at the new taps
         resid = brute_force_residual(X[f], mu[f], 1.0 / gamma[f], h[f])
@@ -226,12 +223,11 @@ def test_m_step_matches_brute_force_short_input(T, L):
 
 
 def test_m_step_zero_residual_hits_cap():
-    cfg = vem.VemConfig(ctf_len=2, skip_low_bands=0)
     X = np.zeros((1, 20), complex)
     mu = np.zeros((1, 20), complex)
     gamma = np.full((1, 20), 1e20)
-    delta, h, _, _ = m_step_arrays(X, mu, gamma, 2, cfg)
-    assert delta[0] == cfg.delta_cap
+    delta, h, _, _ = m_step_arrays(X, mu, gamma, 2)
+    assert delta[0] == vem.DELTA_CAP
     assert np.all(np.isfinite(h))
 
 
