@@ -1,6 +1,6 @@
 """Single-channel speech dereverberation and blind RIR identification."""
 
-from .acoustics import (AcousticParams, EdcCurve, InsufficientDecayError, edc,
+from .acoustics import (AcousticParams, InsufficientDecayError, edc,
                         estimate_drr, estimate_rt60)
 from .evaluate import ScoreReport, lsd, score_rir_batch
 from .prior import (PriorPrecision, from_magnitude, load_prior_file,
@@ -16,7 +16,7 @@ from .wavio import read_wav, write_wav
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcousticParams", "CtfFilter", "EdcCurve", "InsufficientDecayError",
+    "AcousticParams", "CtfFilter", "InsufficientDecayError",
     "NoisePrecision", "Posterior", "PriorPrecision", "RirEstimate",
     "ScoreReport", "Spectrogram", "StftConfig", "SynthRirSpec",
     "VemConfig", "VemState", "Waveform", "ctf_to_rir",

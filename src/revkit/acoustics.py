@@ -39,14 +39,6 @@ class InsufficientDecayError(ValueError):
 
 
 @dataclass
-class EdcCurve:
-    """Backward-integrated energy decay curve, linear and dB forms."""
-
-    values: np.ndarray
-    db: np.ndarray
-
-
-@dataclass
 class AcousticParams:
     """Estimated room parameters; fields are None when not computed."""
 
@@ -57,8 +49,10 @@ class AcousticParams:
     pearson_r: float | None = None
 
 
-def edc(h: Waveform) -> EdcCurve:
-    """Schroeder integration: reverse cumulative sum of squared samples."""
+def edc(h: Waveform) -> np.ndarray:
+    """Schroeder's energy decay curve in dB re its start, floored at
+    EDC_DB_FLOOR: the reverse cumulative sum of squared samples. It never
+    rises, which lets ``estimate_rt60`` binary-search it."""
     energy = np.cumsum(h.samples[::-1] ** 2)[::-1]
     total = energy[0]
     if total > 0.0:
@@ -67,7 +61,7 @@ def edc(h: Waveform) -> EdcCurve:
         db = np.maximum(db, EDC_DB_FLOOR)
     else:
         db = np.full_like(energy, EDC_DB_FLOOR)
-    return EdcCurve(energy, db)
+    return db
 
 
 def estimate_rt60(h: Waveform) -> AcousticParams:
@@ -89,8 +83,7 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
         If no candidate segment achieves the required decay.
     """
     fs = h.sample_rate
-    curve = edc(h)
-    db = curve.db
+    db = edc(h)
     n = db.size
     peak = int(np.argmax(np.abs(h.samples)))
 
@@ -106,14 +99,13 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
     hi = min(hi, n - 2)
     stride = max(1, int(round(RT60_START_STRIDE_S * fs)))
 
+    # each fit ends at the first sample RT60_END_DROP_DB below its start:
+    # -db never falls, so a binary search finds it (n when there is none)
+    starts = np.arange(lo, hi + 1, stride)
+    ends = np.searchsorted(-db, -(db[starts] - RT60_END_DROP_DB))
     best = None
-    for s in range(lo, hi + 1, stride):
-        target = db[s] - RT60_END_DROP_DB
-        rel = np.nonzero(db[s:] <= target)[0]
-        if rel.size == 0:
-            continue
-        e = s + int(rel[0])
-        if e - s < 2:
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        if e == n or e - s < 2:
             continue
         # least-squares line and Pearson r from the biased (co)variances,
         # np.cov(x, y, bias=1)'s own arithmetic without its call overhead

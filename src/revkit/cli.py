@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: dereverb, identify-rir, rt60, drr, simulate, eval. Each
-parses only the flags it reads. Settings come from a flat key = value
-config file (``--config``; every key loads on every command that takes
-one) and from flags that win over the file. ``--dump-config`` writes the
-effective configuration. A bad file, key or value exits with "invalid
-configuration: ..." before any output; so does an input file that cannot
-be read or used, with one line naming it. Runs are deterministic given
-inputs, config and seed.
+parses only the flags it reads. The engine commands (dereverb,
+identify-rir) take their settings from a flat key = value config file
+(``--config``) and from flags that win over the file; ``--dump-config``
+writes the effective configuration. A bad file, key or value exits with
+"invalid configuration: ..." before any output; so does an output whose
+directory is missing, or an input file that cannot be read or used, with
+one line naming it. ``simulate`` takes no config file: its grid, source
+and ``--seed`` flags are all it reads, and a bad number is a usage error.
+Runs are deterministic given inputs, config and seed.
 """
 
 from __future__ import annotations
@@ -37,17 +39,44 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_config(parser: argparse.ArgumentParser) -> None:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return value
+
+
+def _snr_db(text: str) -> float:
+    value = float(text)
+    if np.isnan(value):
+        raise argparse.ArgumentTypeError("must be a number or inf, got nan")
+    return value
+
+
+def _grid(item):
+    """An argparse type: a non-empty comma-separated list of ``item``s."""
+    def grid(text: str) -> list[float]:
+        values = [item(v) for v in text.split(",") if v.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+    return grid
+
+
+def _add_engine(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value config file")
     parser.add_argument("--dump-config", type=str, default=None, metavar="PATH",
                         help="write the effective config ('-' for stdout)")
-
-
-def _add_engine(parser: argparse.ArgumentParser) -> None:
     # each dest is the config key the flag overrides; an absent flag sets
     # nothing, so the file's value (or the default) stands
-    _add_config(parser)
     unset = argparse.SUPPRESS
     parser.add_argument("--iters", dest="max_iters", type=int, default=unset,
                         metavar="ITERS", help="VEM iterations")
@@ -82,6 +111,14 @@ def _effective_config(args, **defaults) -> PipelineConfig:
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from None
     return cfg
+
+
+def _check_output_dirs(*paths) -> None:
+    """Exit with status 1 and one line if the directory of an output path
+    is missing, so a run that cannot write its results never starts."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise SystemExit(f"{path}: no such directory")
 
 
 def _write_dump(args, cfg: PipelineConfig) -> None:
@@ -173,8 +210,11 @@ def _write_trace(path, trace: np.ndarray) -> None:
     ))
 
 
-def _run_vem(args, cfg: PipelineConfig):
-    """Shared front half of dereverb / identify-rir."""
+def _run_vem(args, cfg: PipelineConfig, *outputs):
+    """Shared front half of dereverb / identify-rir; ``outputs`` are the
+    command's own output paths besides the WAV, the trace and the dump."""
+    _check_output_dirs(args.output, args.trace, *outputs,
+                       None if args.dump_config == "-" else args.dump_config)
     timings = {}
     t0 = time.perf_counter()
     with _reading(args.input):
@@ -209,7 +249,7 @@ def cmd_dereverb(args) -> int:
 
 def cmd_identify_rir(args) -> int:
     cfg = _effective_config(args, max_iters=300)
-    _, H_hat, timings = _run_vem(args, cfg)
+    _, H_hat, timings = _run_vem(args, cfg, args.params, args.ctf_csv)
 
     t0 = time.perf_counter()
     est = rir.ctf_to_rir(H_hat, cfg.stft)
@@ -284,29 +324,21 @@ def cmd_drr(args) -> int:
                          lambda r: f"drr={r.drr:.4f} dB")
 
 
-def _parse_grid(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
-
-
 def cmd_simulate(args) -> int:
-    cfg = _effective_config(args)
     clean_src = None
     if args.clean is not None:
         with _reading(args.clean):
             clean_src = wavio.read_wav(args.clean)
-    _write_dump(args, cfg)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rt60s = _parse_grid(args.rt60)
-    drrs = _parse_grid(args.drr)
     fs = 16000
 
     rows = []
     case = 0
     for rep in range(args.count):
-        for rt60_v in rt60s:
-            for drr_v in drrs:
-                seed = cfg.seed + case
+        for rt60_v in args.rt60:
+            for drr_v in args.drr:
+                seed = args.seed + case
                 if clean_src is None:
                     clean = simulate.speech_like(args.duration, fs,
                                                  seed=seed + 10_000)
@@ -422,20 +454,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="emit a synthetic test set")
     p.add_argument("outdir", type=Path)
-    p.add_argument("--rt60", type=str, default="0.5",
+    p.add_argument("--rt60", type=_grid(_positive_float), default="0.5",
                    help="comma-separated RT60 grid in seconds")
-    p.add_argument("--drr", type=str, default="5",
+    p.add_argument("--drr", type=_grid(_finite_float), default="5",
                    help="comma-separated DRR grid in dB")
-    p.add_argument("--snr", type=float, default=20.0)
-    p.add_argument("--duration", type=float, default=2.0,
+    p.add_argument("--snr", type=_snr_db, default=20.0,
+                   help="SNR in dB ('inf' for no noise)")
+    p.add_argument("--duration", type=_positive_float, default=2.0,
                    help="source duration in seconds")
     p.add_argument("--count", type=_positive_int, default=1,
                    help="repetitions of the grid with fresh seeds")
     p.add_argument("--clean", type=Path, default=None,
                    help="use this WAV as the source instead of synthesizing")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--seed", type=int, default=0,
                    help="random seed of the first case (case k uses seed + k)")
-    _add_config(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="score estimated vs reference parameters")

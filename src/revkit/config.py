@@ -1,10 +1,11 @@
-"""Flat key = value configuration files for the pipeline.
+"""Flat key = value configuration files for the engine commands.
 
 ``KEYS`` is the one table of settings: each file key names the part of
 ``PipelineConfig`` it sets, the field, and the parser for its text. The
 CLI flags that override a key store under that key, and ``--dump-config``
 writes the effective configuration back in the same format, so a dumped
-file re-fed via ``--config`` reproduces a run exactly.
+file re-fed via ``--config`` reproduces a run exactly. Every key changes
+the engine's results or how it runs; ``simulate``'s seed is its own flag.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ from .vem import VemConfig
 
 @dataclass
 class PipelineConfig:
-    """Everything that determines a pipeline run besides the input files."""
+    """Everything that determines an engine run besides the input files."""
 
     stft: StftConfig = field(default_factory=StftConfig)
     vem: VemConfig = field(default_factory=VemConfig)
     threads: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.threads < 1:
@@ -39,7 +39,6 @@ KEYS = {
     "max_iters": ("vem", "max_iters", int),
     "skip_low_bands": ("vem", "skip_low_bands", int),
     "threads": (None, "threads", int),
-    "seed": (None, "seed", int),
 }
 
 

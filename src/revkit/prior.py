@@ -57,30 +57,28 @@ def from_magnitude(mag: np.ndarray) -> PriorPrecision:
     return PriorPrecision(1.0 / np.maximum(mag ** 2, POWER_FLOOR))
 
 
-def oracle_from_reference(clean: Waveform, cfg: StftConfig | None = None,
-                          expected_frames: int | None = None) -> PriorPrecision:
+def oracle_from_reference(clean: Waveform, cfg: StftConfig,
+                          expected_frames: int) -> PriorPrecision:
     """Ideal precision from an aligned direct-path reference waveform.
 
-    The reference is analyzed with the same transform as the observation
-    and the precision is 1/|S|^2 (floored). When ``expected_frames`` is
-    given, the reference may differ from it by at most one frame; the
-    result is cropped or zero-padded (silence has floor-level power, so
-    padded frames get maximal precision).
+    The reference is analyzed with the observation's transform ``cfg`` and
+    the precision is 1/|S|^2 (floored). The reference may differ from the
+    observation's ``expected_frames`` by at most one frame; the result is
+    cropped or zero-padded (silence has floor-level power, so padded frames
+    get maximal precision).
     """
-    spec = forward(clean, cfg)
-    mag = np.abs(spec.data)
-    if expected_frames is not None:
-        T = mag.shape[1]
-        if abs(T - expected_frames) > 1:
-            raise ValueError(
-                f"reference/observation length mismatch: {T} vs "
-                f"{expected_frames} frames"
-            )
-        if T > expected_frames:
-            mag = mag[:, :expected_frames]
-        elif T < expected_frames:
-            pad = np.zeros((mag.shape[0], expected_frames - T))
-            mag = np.concatenate([mag, pad], axis=1)
+    mag = np.abs(forward(clean, cfg).data)
+    T = mag.shape[1]
+    if abs(T - expected_frames) > 1:
+        raise ValueError(
+            f"reference/observation length mismatch: {T} vs "
+            f"{expected_frames} frames"
+        )
+    if T > expected_frames:
+        mag = mag[:, :expected_frames]
+    elif T < expected_frames:
+        pad = np.zeros((mag.shape[0], expected_frames - T))
+        mag = np.concatenate([mag, pad], axis=1)
     return from_magnitude(mag)
 
 

@@ -8,17 +8,17 @@ from revkit import acoustics
 
 def test_edc_unit_impulse():
     h = revkit.Waveform(np.eye(1, 100, 0)[0], 16000)
-    curve = acoustics.edc(h)
-    assert curve.values[0] == 1.0
-    assert np.all(curve.values[1:] == 0.0)
+    db = acoustics.edc(h)
+    assert db[0] == 0.0
+    assert np.all(db[1:] == acoustics.EDC_DB_FLOOR)
 
 
 def test_edc_total_energy_and_monotone():
+    # estimate_rt60 binary-searches the curve, so it must never rise
     rng = np.random.default_rng(0)
     h = revkit.Waveform(rng.standard_normal(500), 16000)
-    curve = acoustics.edc(h)
-    assert np.isclose(curve.values[0], np.sum(h.samples ** 2))
-    assert np.all(np.diff(curve.values) <= 1e-15)
+    db = acoustics.edc(h)
+    assert np.all(np.diff(db) <= 0)
 
 
 def test_edc_exponential_closed_form():
@@ -27,13 +27,14 @@ def test_edc_exponential_closed_form():
     r = 0.999
     n = np.arange(4000)
     h = revkit.Waveform(r ** n, fs)
-    curve = acoustics.edc(h)
+    db = acoustics.edc(h)
     expected = r ** (2 * n) * (1 - r ** (2 * (4000 - n))) / (1 - r ** 2)
-    np.testing.assert_allclose(curve.values, expected, rtol=1e-9)
+    exp_db = 10 * np.log10(expected / expected[0])
+    # 4e-9 dB is the old linear-energy tolerance rtol=1e-9 in dB
+    np.testing.assert_allclose(db, exp_db, rtol=0, atol=4e-9)
     # dB curve is log-linear with slope 20 log10(r) per sample, up to the
     # truncation correction carried by the closed form
-    slope = (curve.db[200] - curve.db[100]) / 100
-    exp_db = 10 * np.log10(expected / expected[0])
+    slope = (db[200] - db[100]) / 100
     assert np.isclose(slope, (exp_db[200] - exp_db[100]) / 100, rtol=1e-9)
     assert np.isclose(slope, 20 * np.log10(r), rtol=1e-3)
 
@@ -59,8 +60,7 @@ def test_rt60_synthetic_rir_round_trip():
 
 def brute_force_rt60(h, fs, stride=1):
     """Exhaustive enumeration over all admissible (start, end) pairs."""
-    curve = acoustics.edc(h)
-    db = curve.db
+    db = acoustics.edc(h)
     peak = int(np.argmax(np.abs(h.samples)))
     below = np.nonzero(db[peak:] <= db[peak] - 5.0)[0]
     n5 = peak + int(below[0])

@@ -1,11 +1,14 @@
 """The benchmark under bench/ calls revkit functions by name; these tests
-keep every such name alive."""
+keep every such name, and the shape of each call, alive."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from revkit import vem
+import pytest
+
+from revkit import evaluate, prior, simulate, stft, vem
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -24,3 +27,20 @@ def test_step_api_exists():
     # bench/tracing.py times these kernels one call at a time
     for name in ("init", "e_step", "m_step", "expected_loglik"):
         assert callable(getattr(vem, name, None)), f"revkit.vem.{name}"
+
+
+@pytest.mark.parametrize("call, args, kwargs", [
+    (stft.forward, ("w",), {}),
+    (prior.oracle_from_reference, ("w", "cfg"), {"expected_frames": "T"}),
+    (vem.init, ("X", "a", "cfg"), {}),
+    (evaluate.lsd, ("a", "b"), {}),
+    (simulate.speech_like, ("d", "fs"), {"seed": "s"}),
+    (simulate.white_noise, ("n", "fs"), {"seed": "s"}),
+    (simulate.SynthRirSpec, (), {"rt60": "r", "drr": "d", "seed": "s"}),
+], ids=["stft.forward", "prior.oracle_from_reference", "vem.init",
+        "evaluate.lsd", "simulate.speech_like", "simulate.white_noise",
+        "simulate.SynthRirSpec"])
+def test_bench_call_shapes_bind(call, args, kwargs):
+    # the calls bench/ makes outside cli.main, argument for argument; a
+    # signature change would otherwise break `bench/run.py --trace 1` unseen
+    inspect.signature(call).bind(*args, **kwargs)

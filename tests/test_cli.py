@@ -137,9 +137,10 @@ def test_trace_csv(tmp_path, identity_case):
     ("bogus = 1\n", [], "bogus"),
     ("", ["--config", "no-such-dir/run.cfg"], "no-such-dir/run.cfg"),
     ("jitter = 1e-6\n", [], "unknown key 'jitter'"),
+    ("seed = 0\n", [], "unknown key 'seed'"),
 ], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file",
         "bad-value-file", "unknown-key-file", "missing-file",
-        "numerical-guard-file"])
+        "numerical-guard-file", "seed-file"])
 def test_invalid_config_value_exits_before_any_output(tmp_path, identity_case,
                                                       file_text, flags, key):
     cfg_path = tmp_path / "run.cfg"
@@ -355,13 +356,68 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
         "estimates-missing": (missing, [missing, params]),
     }[fault]
     before = set(tmp_path.iterdir())
+    engine = command in ("dereverb", "identify-rir")
     proc = fresh_python("-m", "revkit.cli", command, *argv,
-                        *(dump if command != "eval" else []))
+                        *(dump if engine else []))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith(f"{source}: ") and message in proc.stderr
     assert proc.stdout == ""
     assert set(tmp_path.iterdir()) == before  # no output of any kind
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("dereverb", None),
+    ("dereverb", "--trace"),
+    ("dereverb", "--dump-config"),
+    ("identify-rir", None),
+    ("identify-rir", "--params"),
+    ("identify-rir", "--ctf-csv"),
+    ("identify-rir", "--trace"),
+    ("identify-rir", "--dump-config"),
+], ids=["dereverb-output", "dereverb-trace", "dereverb-dump-config",
+        "identify-rir-output", "identify-rir-params", "identify-rir-ctf-csv",
+        "identify-rir-trace", "identify-rir-dump-config"])
+def test_output_in_missing_directory_exits_before_the_engine(
+        tmp_path, identity_case, command, flag):
+    # checked before any input is read, so the engine never runs for
+    # results it cannot write, and nothing is left behind
+    nowhere = tmp_path / "nodir" / "x.out"
+    out = nowhere if flag is None else tmp_path / "o.wav"
+    argv = [command, identity_case, out, "--oracle", identity_case]
+    if command == "identify-rir":
+        argv += ["--params",
+                 nowhere if flag == "--params" else tmp_path / "p.csv"]
+    if flag not in (None, "--params"):
+        argv += [flag, nowhere]
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == f"{nowhere}: no such directory"
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("flag", [
+    ["--rt60", "abc"], ["--rt60", "0"], ["--rt60", "-1"], ["--rt60", ","],
+    ["--rt60", "0.5,inf"], ["--drr", "nan"], ["--drr", ""],
+    ["--duration", "0"], ["--duration", "-1"], ["--duration", "inf"],
+    ["--snr", "nan"],
+], ids=["rt60-abc", "rt60-zero", "rt60-negative", "rt60-empty", "rt60-inf",
+        "drr-nan", "drr-empty", "duration-zero", "duration-negative",
+        "duration-inf", "snr-nan"])
+def test_simulate_rejects_bad_numbers_as_usage_errors(tmp_path, capsys, flag):
+    outdir = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", outdir, *flag)
+    assert exc.value.code == 2  # argparse's usage error
+    assert f"argument {flag[0]}: " in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_simulate_accepts_infinite_snr(tmp_path):
+    # inf is the noise-free mixture, not a bad number
+    assert run_cli("simulate", tmp_path, "--snr", "inf",
+                   "--duration", "0.3") == 0
 
 
 @pytest.mark.parametrize("command", ["rt60", "drr"])
@@ -407,7 +463,7 @@ max_iters = 7
 
 
 def test_config_dump_parses_back():
-    cfg = build_config({"ctf_len": 11, "lambda": 0.35, "seed": 99})
+    cfg = build_config({"ctf_len": 11, "lambda": 0.35, "threads": 3})
     assert build_config(parse_config(dump_config(cfg))) == cfg
 
 
@@ -418,17 +474,20 @@ def test_config_keys_cover_every_setting():
     assert targets == (
         {("stft", f.name) for f in fields(revkit.StftConfig)}
         | {("vem", f.name) for f in fields(revkit.VemConfig)}
-        | {(None, "threads"), (None, "seed")}
+        | {(None, "threads")}
     )
     assert {f.name for f in fields(PipelineConfig)} == {
-        "stft", "vem", "threads", "seed"}
+        "stft", "vem", "threads"}
 
 
 @pytest.mark.parametrize("command, flag", [
     ("simulate", ["--trace", "t.csv"]),
+    ("simulate", ["--config", "x"]),
+    ("simulate", ["--dump-config", "-"]),
     ("dereverb", ["--seed", "5"]),
     ("identify-rir", ["--seed", "5"]),
-], ids=["simulate-trace", "dereverb-seed", "identify-rir-seed"])
+], ids=["simulate-trace", "simulate-config", "simulate-dump-config",
+        "dereverb-seed", "identify-rir-seed"])
 def test_commands_reject_flags_they_do_not_read(tmp_path, identity_case,
                                                 command, flag):
     args = {

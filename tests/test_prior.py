@@ -52,7 +52,7 @@ def test_oracle_matches_observation_init_when_identical():
     rng = np.random.default_rng(3)
     wave = revkit.Waveform(rng.standard_normal(8000), 16000)
     spec = stft.forward(wave)
-    p = prior.oracle_from_reference(wave, spec.config)
+    p = prior.oracle_from_reference(wave, spec.config, spec.num_frames)
     np.testing.assert_allclose(
         p.alpha, 1.0 / np.maximum(np.abs(spec.data) ** 2, prior.POWER_FLOOR),
         rtol=1e-12,
@@ -67,15 +67,17 @@ def test_oracle_direct_path_scaling():
         0.5 * np.concatenate([np.zeros(64), clean.samples[:-64]]), 16000
     )
     cfg = revkit.StftConfig()
-    p = prior.oracle_from_reference(delayed, cfg)
-    mag = np.abs(stft.forward(delayed, cfg).data)
+    spec = stft.forward(delayed, cfg)
+    p = prior.oracle_from_reference(delayed, cfg, spec.num_frames)
+    mag = np.abs(spec.data)
     np.testing.assert_allclose(p.alpha, 1.0 / np.maximum(mag ** 2, prior.POWER_FLOOR),
                                rtol=1e-12)
 
 
 def test_oracle_silent_reference():
     silent = revkit.Waveform(np.zeros(4096), 16000)
-    p = prior.oracle_from_reference(silent)
+    spec = stft.forward(silent)
+    p = prior.oracle_from_reference(silent, spec.config, spec.num_frames)
     np.testing.assert_array_equal(p.alpha, np.full(p.shape, 1e10))
 
 
