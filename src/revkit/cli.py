@@ -53,10 +53,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _duration(text: str) -> float:
+    value = _positive_float(text)
+    if round(value * 16000) < 1:
+        raise argparse.ArgumentTypeError(
+            f"gives no sample at 16 kHz, got {text}")
+    return value
+
+
 def _snr_db(text: str) -> float:
     value = float(text)
-    if np.isnan(value):
-        raise argparse.ArgumentTypeError("must be a number or inf, got nan")
+    if np.isnan(value) or value == -np.inf:
+        raise argparse.ArgumentTypeError(f"must be a number or inf, got {text}")
     return value
 
 
@@ -329,6 +337,8 @@ def cmd_simulate(args) -> int:
     if args.clean is not None:
         with _reading(args.clean):
             clean_src = wavio.read_wav(args.clean)
+            if not np.any(clean_src.samples):
+                raise ValueError("silent clean input: SNR undefined")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fs = 16000
@@ -460,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated DRR grid in dB")
     p.add_argument("--snr", type=_snr_db, default=20.0,
                    help="SNR in dB ('inf' for no noise)")
-    p.add_argument("--duration", type=_positive_float, default=2.0,
+    p.add_argument("--duration", type=_duration, default=2.0,
                    help="source duration in seconds")
     p.add_argument("--count", type=_positive_int, default=1,
                    help="repetitions of the grid with fresh seeds")

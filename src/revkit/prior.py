@@ -14,6 +14,7 @@ F x T) order. Magnitudes refer to the max-abs-normalized observation.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -108,8 +109,9 @@ def load_prior_file(path) -> np.ndarray:
             raise ValueError(f"{path}: unsupported VPRI version {version}")
         if F < 1 or T < 1:
             raise ValueError(f"{path}: invalid dimensions {F} x {T}")
-        payload = fh.read(4 * F * T + 1)
-        if len(payload) != 4 * F * T:
+        # checked before reading, so a header cannot demand a huge read
+        if os.fstat(fh.fileno()).st_size != 16 + 4 * F * T:
             raise ValueError(f"{path}: payload size does not match {F} x {T}")
+        payload = fh.read(4 * F * T)
     mag = np.frombuffer(payload, dtype="<f4").reshape(F, T)
     return mag.astype(np.float64)

@@ -6,6 +6,10 @@ exponential envelope whose decay rate realizes the requested RT60 and
 whose energy realizes the requested DRR exactly. This is enough to
 validate parameter estimators and filter recovery with analytically
 known ground truth; geometric room simulation is out of scope.
+
+Everything here runs on numpy alone. The speech-like source filters its
+noise with a small IIR loop of its own, ``_lfilter``, whose output equals
+``scipy.signal.lfilter``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +21,19 @@ import numpy as np
 from .stft import Waveform, _convolve
 
 DIRECT_DELAY = 160  # samples before the direct-path impulse
+
+# speech_like's filters as (b, a), b padded to a's length: a one-pole
+# lowpass that tilts the spectrum toward low frequencies, then a 4th-order
+# 120 Hz Butterworth highpass at 16 kHz that empties the sub-speech bands
+# (fundamentals sit above 85 Hz). The highpass is
+# scipy.signal.butter(4, 120 / 8000, "highpass") as exact hex floats.
+_TILT = ((0.6, 0.0), (1.0, -0.4))
+_HIGHPASS = tuple(tuple(map(float.fromhex, c)) for c in (
+    ("0x1.e16c735382860p-1", "-0x1.e16c735382860p+1", "0x1.6911567ea1e48p+2",
+     "-0x1.e16c735382860p+1", "0x1.e16c735382860p-1"),
+    ("0x1.0p+0", "-0x1.f03d1ba0e6c38p+1", "0x1.68d6f199a7855p+2",
+     "-0x1.d29bb78fa9e19p+1", "0x1.c4ac5ba8a9a26p-1"),
+))
 
 
 @dataclass
@@ -77,16 +94,18 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
     """Reverberant mixture: full convolution of clean with the impulse
     response plus noise scaled to the requested SNR.
 
-    ``snr_db = inf`` (or ``noise = None``) skips the noise entirely.
-    Noise shorter than the mixture is tiled. SNR is defined over the full
-    mixture length from mean powers.
+    ``snr_db = +inf`` (or ``noise = None``) skips the noise entirely;
+    ``-inf`` and NaN are rejected. Noise shorter than the mixture is tiled.
+    SNR is defined over the full mixture length from mean powers.
     """
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
     if clean.sample_rate != rir.sample_rate:
         raise ValueError("clean and RIR sample rates differ")
     if not np.any(clean.samples):
         raise ValueError("silent clean input: SNR undefined")
     sig = _convolve(clean.samples, rir.samples)
-    if noise is None or np.isinf(snr_db):
+    if noise is None or snr_db == np.inf:
         return Waveform(sig, clean.sample_rate)
     if noise.sample_rate != clean.sample_rate:
         raise ValueError("noise sample rate differs")
@@ -108,24 +127,38 @@ def white_noise(num_samples: int, fs: int, seed: int = 0) -> Waveform:
     return Waveform(rng.standard_normal(num_samples), fs)
 
 
+def _lfilter(b, a, x: np.ndarray) -> np.ndarray:
+    """IIR filter ``x`` with coefficients ``b``, ``a`` (``a[0] == 1``,
+    ``len(b) == len(a) >= 2``) in direct form II transposed, from rest.
+
+    This is the recursion of ``scipy.signal.lfilter``, term for term in the
+    same order, so the output is the same bits.
+    """
+    n = len(a)
+    z = [0.0] * (n - 1)
+    y = np.empty(len(x))
+    for k, xk in enumerate(x.tolist()):
+        yk = z[0] + b[0] * xk
+        for i in range(n - 2):
+            z[i] = z[i + 1] + b[i + 1] * xk - a[i + 1] * yk
+        z[n - 2] = b[n - 1] * xk - a[n - 1] * yk
+        y[k] = yk
+    return y
+
+
 def speech_like(duration: float, fs: int, seed: int = 0) -> Waveform:
     """Nonstationary test source loosely mimicking speech dynamics:
     tilted noise under a syllabic-rate envelope, with short silent gaps.
     The gaps matter: reverberation decaying into them is what makes a
-    room filter identifiable from a recording."""
-    # imported here: scipy.signal, which loads scipy.stats, would add
-    # ~0.8 s to the start-up of every CLI command
-    from scipy.signal import butter, lfilter
-
+    room filter identifiable from a recording. ``fs`` must be 16 kHz,
+    the rate the highpass is designed for."""
+    if fs != 16000:
+        raise ValueError(f"speech_like synthesizes 16 kHz only, got {fs} Hz")
     rng = np.random.default_rng(seed)
     n = int(round(duration * fs))
-    x = rng.standard_normal(n)
-    # one-pole lowpass tilts the spectrum toward low frequencies; the
-    # highpass empties the sub-speech bands (fundamentals sit above 85 Hz)
-    alpha = 0.4
-    x = lfilter([1.0 - alpha], [1.0, -alpha], x)
-    b_hp, a_hp = butter(4, 120.0 / (fs / 2.0), "highpass")
-    x = lfilter(b_hp, a_hp, x)
+    if n < 1:
+        raise ValueError(f"duration {duration} s gives no sample at {fs} Hz")
+    x = _lfilter(*_HIGHPASS, _lfilter(*_TILT, rng.standard_normal(n)))
     # mild syllabic-rate modulation; keep most frames energetic so the
     # filter stays well identified from a short utterance
     n_seg = max(2, int(duration * 4) + 1)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import platform
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -312,19 +313,46 @@ def test_cli_import_leaves_out_heavy_scipy_modules():
     assert out.returncode == 0 and out.stdout.strip() == "[]"
 
 
+def test_every_command_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: a session of all six commands runs
+    # in an interpreter where any import of scipy fails
+    d = tmp_path / "data"
+    case = {k: d / f"case000_{k}.wav" for k in ("reverb", "direct", "rir")}
+    session = [
+        ["simulate", d, "--duration", "1.0"],
+        ["dereverb", case["reverb"], tmp_path / "out.wav",
+         "--oracle", case["direct"], "--iters", "2"],
+        ["identify-rir", case["reverb"], tmp_path / "rir.wav",
+         "--params", tmp_path / "p.csv", "--oracle", case["direct"],
+         "--iters", "2"],
+        ["rt60", case["rir"]],
+        ["drr", case["rir"]],
+        ["eval", tmp_path / "p.csv", d / "manifest.csv"],
+    ]
+    proc = fresh_python("-c", "import json, sys; sys.modules['scipy'] = None; "
+                        "from revkit.cli import main; "
+                        "print([main(a) for a in json.loads(sys.argv[1])])",
+                        json.dumps([[str(a) for a in argv] for argv in session]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
+
+
 @pytest.mark.parametrize("command, fault, message", [
     ("dereverb", "input-not-wav", "not a RIFF/WAVE file"),
     ("dereverb", "input-too-short", "input too short"),
     ("dereverb", "oracle-length", "length mismatch"),
     ("dereverb", "prior-bad-magic", "bad magic"),
+    ("dereverb", "prior-huge-header", "payload size does not match"),
     ("dereverb", "input-missing", "No such file or directory"),
     ("identify-rir", "oracle-missing", "No such file or directory"),
     ("simulate", "clean-not-wav", "not a RIFF/WAVE file"),
+    ("simulate", "clean-silent", "silent clean input"),
     ("eval", "estimates-missing", "No such file or directory"),
 ], ids=["dereverb-input-not-wav", "dereverb-input-too-short",
         "dereverb-oracle-length", "dereverb-prior-bad-magic",
-        "dereverb-input-missing", "identify-rir-oracle-missing",
-        "simulate-clean-not-wav", "eval-estimates-missing"])
+        "dereverb-prior-huge-header", "dereverb-input-missing",
+        "identify-rir-oracle-missing", "simulate-clean-not-wav",
+        "simulate-clean-silent", "eval-estimates-missing"])
 def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
                                             fault, message):
     bad = tmp_path / "bad.wav"
@@ -336,6 +364,10 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
     wavio.write_wav(long_ref, revkit.Waveform(np.tile(x, 2), 16000))
     vpri = tmp_path / "bad.vpri"
     vpri.write_bytes(b"NOPE" + b"\x00" * 12)
+    huge = tmp_path / "huge.vpri"  # F = T = 2**32 - 1: 2**66 payload bytes
+    huge.write_bytes(b"VPRI" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1))
+    silent = tmp_path / "silent.wav"
+    wavio.write_wav(silent, revkit.Waveform(np.zeros(1000), 16000))
     missing = tmp_path / "missing.wav"
     params = tmp_path / "params.csv"
     params.write_text("rt60_s,drr_db\n0.5,3.0\n")
@@ -348,11 +380,13 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
         "oracle-length": (long_ref, [identity_case, out,
                                      "--oracle", long_ref]),
         "prior-bad-magic": (vpri, [identity_case, out, "--prior", vpri]),
+        "prior-huge-header": (huge, [identity_case, out, "--prior", huge]),
         "input-missing": (missing, [missing, out, "--oracle", identity_case]),
         "oracle-missing": (missing, [identity_case, out, "--params",
                                      tmp_path / "p.csv", "--oracle",
                                      missing]),
         "clean-not-wav": (bad, [tmp_path / "data", "--clean", bad]),
+        "clean-silent": (silent, [tmp_path / "data", "--clean", silent]),
         "estimates-missing": (missing, [missing, params]),
     }[fault]
     before = set(tmp_path.iterdir())
@@ -401,16 +435,17 @@ def test_output_in_missing_directory_exits_before_the_engine(
     ["--rt60", "abc"], ["--rt60", "0"], ["--rt60", "-1"], ["--rt60", ","],
     ["--rt60", "0.5,inf"], ["--drr", "nan"], ["--drr", ""],
     ["--duration", "0"], ["--duration", "-1"], ["--duration", "inf"],
-    ["--snr", "nan"],
+    ["--duration", "0.00001"], ["--snr", "nan"], ["--snr=-inf"],
 ], ids=["rt60-abc", "rt60-zero", "rt60-negative", "rt60-empty", "rt60-inf",
         "drr-nan", "drr-empty", "duration-zero", "duration-negative",
-        "duration-inf", "snr-nan"])
+        "duration-inf", "duration-no-sample", "snr-nan", "snr-minus-inf"])
 def test_simulate_rejects_bad_numbers_as_usage_errors(tmp_path, capsys, flag):
     outdir = tmp_path / "data"
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", outdir, *flag)
     assert exc.value.code == 2  # argparse's usage error
-    assert f"argument {flag[0]}: " in capsys.readouterr().err
+    # "--snr=-inf": a bare "-inf" would read as an option, not a value
+    assert f"argument {flag[0].split('=')[0]}: " in capsys.readouterr().err
     assert not outdir.exists()
 
 

@@ -107,3 +107,42 @@ def test_speech_like_shape_and_gaps():
     frames = wave.samples[: 31744].reshape(-1, 512)
     fp = np.mean(frames ** 2, axis=1)
     assert fp.min() < 1e-4 * fp.max()
+
+
+def test_speech_like_rejects_durations_without_samples_and_other_rates():
+    with pytest.raises(ValueError, match="duration 1e-05 s gives no sample"):
+        simulate.speech_like(1e-5, 16000)
+    with pytest.raises(ValueError, match="16 kHz only"):
+        simulate.speech_like(0.5, 8000)
+
+
+def test_mix_rejects_minus_infinite_and_nan_snr():
+    # +inf is the noise-free mixture; -inf (infinitely loud noise) and NaN
+    # have no mixture, and must not silently drop the noise
+    clean = simulate.white_noise(1000, 16000, seed=1)
+    rir = revkit.Waveform(np.array([1.0]), 16000)
+    noise = simulate.white_noise(1000, 16000, seed=2)
+    for snr in (-np.inf, np.nan):
+        with pytest.raises(ValueError, match="number or \\+inf"):
+            simulate.mix(clean, rir, noise, snr)
+
+
+def test_highpass_coefficients_are_scipy_butter():
+    from scipy.signal import butter
+    b, a = butter(4, 120.0 / 8000.0, "highpass")
+    assert np.array_equal(simulate._HIGHPASS[0], b)
+    assert np.array_equal(simulate._HIGHPASS[1], a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 51_200])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lfilter_is_scipy_lfilter_bit_for_bit(n, seed):
+    # the references are the scipy calls that speech_like's two filter
+    # stages stand in for
+    from scipy.signal import butter, lfilter
+    x = np.random.default_rng(seed).standard_normal(n)
+    tilt = simulate._lfilter(*simulate._TILT, x)
+    assert np.array_equal(tilt, lfilter([1.0 - 0.4], [1.0, -0.4], x))
+    assert np.array_equal(simulate._lfilter(*simulate._HIGHPASS, tilt),
+                          lfilter(*butter(4, 120.0 / 8000.0, "highpass"),
+                                  tilt))
