@@ -183,14 +183,17 @@ def _reading(path):
         raise SystemExit(_fault(path, exc)) from None
 
 
-def _load_prior(args, observed: stft.Spectrogram) -> prior.PriorPrecision:
+def _load_prior(args, observed: stft.Spectrogram,
+                peak: float) -> prior.PriorPrecision:
+    """The prior; an oracle is divided by the observation's ``peak``."""
     if (args.oracle is None) == (args.prior is None):
         raise SystemExit("exactly one of --oracle or --prior is required")
     if args.oracle is not None:
         with _reading(args.oracle):
+            ref = wavio.read_wav(args.oracle)
             return prior.oracle_from_reference(
-                wavio.read_wav(args.oracle), observed.config,
-                expected_frames=observed.num_frames,
+                stft.Waveform(ref.samples / peak, ref.sample_rate),
+                observed.config, expected_frames=observed.num_frames,
             )
     with _reading(args.prior):
         mag = prior.load_prior_file(args.prior)
@@ -220,17 +223,22 @@ def _write_trace(path, trace: np.ndarray) -> None:
 
 def _run_vem(args, cfg: PipelineConfig, *outputs):
     """Shared front half of dereverb / identify-rir; ``outputs`` are the
-    command's own output paths besides the WAV, the trace and the dump."""
+    command's own output paths besides the WAV, the trace and the dump.
+    The engine sees the observation divided by its ``peak`` (1 for
+    silence), the scale VPRI magnitudes refer to."""
     _check_output_dirs(args.output, args.trace, *outputs,
                        None if args.dump_config == "-" else args.dump_config)
     timings = {}
     t0 = time.perf_counter()
     with _reading(args.input):
-        X = stft.forward(wavio.read_wav(args.input), cfg.stft)
+        x = wavio.read_wav(args.input)
+        peak = float(np.max(np.abs(x.samples))) or 1.0
+        X = stft.forward(stft.Waveform(x.samples / peak, x.sample_rate),
+                         cfg.stft)
     timings["analysis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    alpha = _load_prior(args, X)
+    alpha = _load_prior(args, X, peak)
     timings["prior"] = time.perf_counter() - t0
     _write_dump(args, cfg)
 
@@ -240,15 +248,21 @@ def _run_vem(args, cfg: PipelineConfig, *outputs):
     timings["vem"] = time.perf_counter() - t0
     if args.trace is not None:
         _write_trace(args.trace, trace)
-    return S_hat, H_hat, timings
+    return S_hat, H_hat, peak, timings
 
 
 def cmd_dereverb(args) -> int:
     cfg = _effective_config(args, max_iters=100)
-    S_hat, _, timings = _run_vem(args, cfg)
+    S_hat, _, peak, timings = _run_vem(args, cfg)
     t0 = time.perf_counter()
     out = stft.inverse(S_hat)
-    wavio.write_wav(args.output, out)
+    # The posterior is not a consistent spectrogram, so inverse's division
+    # by the vanishing window power amplifies the first and last window
+    # into a click; fade where that power is below half its maximum.
+    wsum = stft._window_power(S_hat.config, S_hat.num_frames)
+    fade = np.minimum(1.0, wsum / (0.5 * np.max(wsum)))
+    wavio.write_wav(args.output,
+                    stft.Waveform(out.samples * peak * fade, out.sample_rate))
     timings["synthesis"] = time.perf_counter() - t0
     _write_manifest(args, [args.output], cfg, timings)
     print(f"wrote {args.output}")
@@ -257,7 +271,7 @@ def cmd_dereverb(args) -> int:
 
 def cmd_identify_rir(args) -> int:
     cfg = _effective_config(args, max_iters=300)
-    _, H_hat, timings = _run_vem(args, cfg, args.params, args.ctf_csv)
+    _, H_hat, _, timings = _run_vem(args, cfg, args.params, args.ctf_csv)
 
     t0 = time.perf_counter()
     est = rir.ctf_to_rir(H_hat, cfg.stft)

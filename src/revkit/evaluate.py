@@ -59,9 +59,9 @@ def lsd(enhanced: Spectrogram, reference: Spectrogram) -> float:
     """Log-spectral distortion in dB between two equally shaped spectrograms.
 
     Per frame, the RMS over bins of the difference of 20 log10 magnitudes
-    (floored by LSD_EPS), averaged over frames. Magnitudes are taken in
-    the max-abs-normalized domain, and the enhanced side is first scaled
-    so its total power matches the reference.
+    (floored by LSD_EPS), averaged over frames. Magnitudes are taken as
+    given, and the enhanced side is first scaled so its total power
+    matches the reference.
     """
     if enhanced.data.shape != reference.data.shape:
         raise ValueError(

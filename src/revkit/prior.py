@@ -62,9 +62,10 @@ def oracle_from_reference(clean: Waveform, cfg: StftConfig,
                           expected_frames: int) -> PriorPrecision:
     """Ideal precision from an aligned direct-path reference waveform.
 
-    The reference is analyzed with the observation's transform ``cfg`` and
-    the precision is 1/|S|^2 (floored). The reference may differ from the
-    observation's ``expected_frames`` by at most one frame; the result is
+    The reference is analyzed as given, so it must be on the observation's
+    scale (the CLI divides both by the observation's peak), with the
+    transform ``cfg``; the precision is 1/|S|^2 (floored). It may differ
+    from the observation's ``expected_frames`` by at most one frame; |S| is
     cropped or zero-padded (silence has floor-level power, so padded frames
     get maximal precision).
     """

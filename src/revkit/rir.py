@@ -133,8 +133,7 @@ def ctf_to_rir(H: CtfFilter,
     FY *= _fft_padded(h, FY.shape[1])
     Y = np.pad(ifft(FY, out=FY)[:, : T + L - 1],
                ((0, 0), (guard, guard)))
-    y = inverse(Spectrogram(Y, stft_cfg, scale=E.scale,
-                            sample_rate=sweep.sample_rate))
+    y = inverse(Spectrogram(Y, stft_cfg, sample_rate=sweep.sample_rate))
 
     full = _convolve(y.samples, inv.samples)
     origin = SWEEP_LEN - 1 + guard * stft_cfg.hop

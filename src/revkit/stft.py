@@ -5,8 +5,8 @@ Framing is left-aligned with no centering: frame t covers samples
 hop of time-domain delay, which keeps subband filter taps interpretable
 as integer-hop delays. Samples past the last full frame are not analyzed.
 
-Waveforms are normalized by their maximum absolute value before analysis;
-the factor is kept on the spectrogram so synthesis can undo it.
+Both transforms are linear and keep the waveform's scale: any
+normalization is the caller's (the CLI divides by the observation's peak).
 """
 
 from __future__ import annotations
@@ -66,15 +66,10 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """Complex half-spectrum matrix, frequency bins (rows) x frames (cols).
-
-    ``scale`` is the max-abs normalization factor divided out of the source
-    waveform before analysis; ``inverse`` multiplies it back in.
-    """
+    """Complex half-spectrum matrix, frequency bins (rows) x frames (cols)."""
 
     data: np.ndarray
     config: StftConfig
-    scale: float = 1.0
     sample_rate: int = 16000
 
     def __post_init__(self):
@@ -105,11 +100,7 @@ def num_frames(num_samples: int, cfg: StftConfig) -> int:
 
 
 def forward(wave: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
-    """Analyze a waveform into a complex spectrogram.
-
-    The waveform is divided by its max absolute sample first, and the
-    factor is stored in ``Spectrogram.scale`` (a silent input keeps scale
-    1); ``spec.data * spec.scale`` is the analysis of the waveform as given.
+    """Analyze a waveform, as given, into a complex spectrogram.
 
     Parameters
     ----------
@@ -126,12 +117,9 @@ def forward(wave: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
         cfg = StftConfig()
     x = wave.samples
     T = num_frames(x.size, cfg)
-    peak = float(np.max(np.abs(x)))
-    scale = peak if peak > 0.0 else 1.0
-    x = x / scale
     frames = sliding_window_view(x, cfg.win_length)[:: cfg.hop][:T]
     spec = np.fft.rfft(frames * cfg.window, n=cfg.win_length, axis=1)
-    return Spectrogram(spec.T, cfg, scale=scale, sample_rate=wave.sample_rate)
+    return Spectrogram(spec.T, cfg, sample_rate=wave.sample_rate)
 
 
 @cache
@@ -182,8 +170,15 @@ def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
     return acc.reshape(-1)
 
 
+def _window_power(cfg: StftConfig, T: int) -> np.ndarray:
+    """Overlap-added squared window of T frames: the divisor of ``inverse``,
+    which vanishes towards the first and last sample."""
+    w2 = np.broadcast_to(cfg.window ** 2, (T, cfg.win_length))
+    return _overlap_add(w2, cfg.hop)
+
+
 def inverse(spec: Spectrogram) -> Waveform:
-    """Weighted overlap-add synthesis, undoing the stored normalization.
+    """Weighted overlap-add synthesis: the least-squares inverse of ``forward``.
 
     Output length is (T - 1) * hop + win_length. Samples where the
     overlap-added window power vanishes (the very signal edges) are zero.
@@ -192,7 +187,6 @@ def inverse(spec: Spectrogram) -> Waveform:
     frames = np.fft.irfft(spec.data.T, n=cfg.win_length, axis=1)
     frames *= cfg.window
     acc = _overlap_add(frames, cfg.hop)
-    w2 = np.broadcast_to(cfg.window ** 2, frames.shape)
-    wsum = _overlap_add(w2, cfg.hop)
+    wsum = _window_power(cfg, spec.num_frames)
     out = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 1e-12)
-    return Waveform(out * spec.scale, spec.sample_rate)
+    return Waveform(out, spec.sample_rate)

@@ -394,8 +394,7 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
     Parameters
     ----------
     X : Spectrogram
-        Reverberant observation (normalized; ``scale`` is carried through
-        to the returned spectrum so synthesis restores the input scale).
+        Reverberant observation, at the scale the prior refers to.
     alpha : PriorPrecision
         Fixed prior precision, same shape as ``X.data``.
     cfg : VemConfig
@@ -445,5 +444,5 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
             RuntimeWarning,
         )
 
-    S_hat = Spectrogram(S, X.config, scale=X.scale, sample_rate=X.sample_rate)
+    S_hat = Spectrogram(S, X.config, sample_rate=X.sample_rate)
     return S_hat, CtfFilter(H), trace

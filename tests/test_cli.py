@@ -16,6 +16,7 @@ from revkit import prior, simulate, stft, wavio
 from revkit.cli import main
 from revkit.config import (KEYS, PipelineConfig, build_config, dump_config,
                            parse_config)
+from synthcases import blind_case
 
 
 @pytest.fixture()
@@ -104,6 +105,57 @@ def test_prior_file_equivalent_to_oracle(tmp_path, identity_case):
     a = wavio.read_wav(out_a).samples
     b = wavio.read_wav(out_b).samples
     assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-4
+
+
+@pytest.fixture(scope="module")
+def bench_dereverb(tmp_path_factory):
+    """The benchmark's dereverb case (RT60 0.3 s, DRR -5 dB, seed 10000),
+    written as WAV files and run at the default 100 iterations with the
+    direct-path reference as the oracle."""
+    d = tmp_path_factory.mktemp("bench_dereverb")
+    _, _, reverb, direct = blind_case(0.3, -5.0, 10_000)
+    wavio.write_wav(d / "reverb.wav", reverb)
+    wavio.write_wav(d / "direct.wav", direct)
+    assert run_cli("dereverb", d / "reverb.wav", d / "oracle.wav",
+                   "--oracle", d / "direct.wav") == 0
+    return d
+
+
+def test_oracle_prior_is_on_the_observation_scale(tmp_path, bench_dereverb):
+    # the oracle is referred to the observation's peak, exactly as the VPRI
+    # format asks of a prior file: |STFT(ref / max|x|)|, framed by hand
+    d = bench_dereverb
+    x = wavio.read_wav(d / "reverb.wav").samples
+    ref = wavio.read_wav(d / "direct.wav").samples / np.max(np.abs(x))
+    cfg = revkit.StftConfig()
+    frames = np.lib.stride_tricks.sliding_window_view(
+        ref, cfg.win_length)[:: cfg.hop]
+    prior.save_prior_file(tmp_path / "p.vpri",
+                          np.abs(np.fft.rfft(frames * cfg.window)).T)
+    out = tmp_path / "prior.wav"
+    assert run_cli("dereverb", d / "reverb.wav", out,
+                   "--prior", tmp_path / "p.vpri") == 0
+    a = wavio.read_wav(d / "oracle.wav").samples
+    b = wavio.read_wav(out).samples
+    assert np.linalg.norm(a - b) / np.linalg.norm(a) < 1e-4
+
+
+def test_dereverb_keeps_the_direct_path_level(bench_dereverb):
+    d = bench_dereverb
+    y = wavio.read_wav(d / "oracle.wav").samples
+    ref = wavio.read_wav(d / "direct.wav").samples[: y.size]
+    inner = slice(512, y.size - 512)
+    level_db = 20.0 * np.log10(np.sqrt(np.mean(y[inner] ** 2))
+                               / np.sqrt(np.mean(ref[inner] ** 2)))
+    assert abs(level_db) <= 1.0
+
+
+def test_dereverb_edges_peak_no_higher_than_interior(bench_dereverb):
+    y = wavio.read_wav(bench_dereverb / "oracle.wav").samples
+    w = 512
+    interior = np.max(np.abs(y[w:-w]))
+    assert np.max(np.abs(y[:w])) <= interior
+    assert np.max(np.abs(y[-w:])) <= interior
 
 
 def test_threads_do_not_change_output_bytes(tmp_path, identity_case):

@@ -32,7 +32,6 @@ def test_zero_input_gives_zero_spectrogram():
     spec = stft.forward(revkit.Waveform(np.zeros(4096), 16000))
     assert spec.data.shape == (257, 29)
     assert np.all(spec.data == 0)
-    assert spec.scale == 1.0
 
 
 def test_unit_impulse_first_frame():
@@ -50,10 +49,9 @@ def test_columns_match_naive_dft():
     cfg = revkit.StftConfig()
     wave = random_wave(3, 16000)
     spec = stft.forward(wave, cfg)
-    data = spec.data * spec.scale
     for t in (0, 1, 57, spec.num_frames - 1):
         np.testing.assert_allclose(
-            data[:, t], naive_frame_dft(wave.samples, cfg, t),
+            spec.data[:, t], naive_frame_dft(wave.samples, cfg, t),
             atol=1e-9,
         )
 
@@ -83,13 +81,13 @@ def test_projection_idempotent():
     data = rng.standard_normal((257, 40)) + 1j * rng.standard_normal((257, 40))
     data[0] = data[0].real
     data[-1] = data[-1].real
-    spec = revkit.Spectrogram(data, cfg, 1.0)
+    spec = revkit.Spectrogram(data, cfg)
     once = stft.forward(stft.inverse(spec), cfg)
     twice = stft.forward(stft.inverse(once), cfg)
     assert once.data.shape[1] <= 40
     np.testing.assert_allclose(
-        (twice.data * twice.scale)[:, 1:-1],
-        (once.data * once.scale)[:, : twice.num_frames][:, 1:-1],
+        twice.data[:, 1:-1],
+        once.data[:, : twice.num_frames][:, 1:-1],
         atol=1e-9,
     )
 
@@ -103,23 +101,10 @@ def test_linearity_of_denormalized_coefficients():
     Sy = stft.forward(y)
     Sb = stft.forward(both)
     np.testing.assert_allclose(
-        Sb.data * Sb.scale,
-        a * Sx.data * Sx.scale + b * Sy.data * Sy.scale,
+        Sb.data,
+        a * Sx.data + b * Sy.data,
         atol=1e-12,
     )
-
-
-def test_scale_stored_and_restored():
-    wave = random_wave(5, 6000)
-    spec = stft.forward(wave)
-    assert np.isclose(spec.scale, np.max(np.abs(wave.samples)))
-    assert np.isclose(np.max(np.abs(spec.data * spec.scale)),
-                      np.max(np.abs(spec.data)) * spec.scale)
-    out = stft.inverse(spec)
-    w = spec.config.win_length
-    n = out.samples.size
-    np.testing.assert_allclose(out.samples[w: n - w],
-                               wave.samples[w: n - w], atol=1e-9)
 
 
 def test_energy_consistency_parseval():
@@ -129,7 +114,7 @@ def test_energy_consistency_parseval():
     spec = stft.forward(wave, cfg)
     t = 10
     frame = wave.samples[t * cfg.hop: t * cfg.hop + cfg.win_length] * cfg.window
-    col = spec.data[:, t] * spec.scale
+    col = spec.data[:, t]
     spec_energy = (np.abs(col[0]) ** 2 + np.abs(col[-1]) ** 2
                    + 2 * np.sum(np.abs(col[1:-1]) ** 2)) / cfg.win_length
     assert np.isclose(spec_energy, np.sum(frame ** 2), rtol=1e-10)
