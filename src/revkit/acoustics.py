@@ -11,7 +11,7 @@ for the winning slope k in dB/s.
 DRR is the energy within +/-2.5 ms of the direct-path peak over the
 energy everywhere else, in dB, capped at +80 dB: the cap is returned
 whenever the tail is 80 dB or more below the direct part, whatever the
-scale of the response.
+scale of the response. A silent response has no DRR and raises.
 
 These heuristics are fixed module constants (``RT60_*``, ``DRR_*``), not
 arguments.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import Waveform
+from .stft import RATE, Waveform
 
 EDC_DB_FLOOR = -120.0
 RT60_START_DB = 5.0      # fit starts lie between the point this far below
@@ -82,7 +82,6 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
     InsufficientDecayError
         If no candidate segment achieves the required decay.
     """
-    fs = h.sample_rate
     db = edc(h)
     n = db.size
     peak = int(np.argmax(np.abs(h.samples)))
@@ -94,10 +93,10 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
             f"{RT60_START_DB} dB below the direct-path level"
         )
     n5 = peak + int(below[0])
-    n50 = peak + int(round(RT60_MAX_START_S * fs))
+    n50 = peak + int(round(RT60_MAX_START_S * RATE))
     lo, hi = min(n5, n50), max(n5, n50)
     hi = min(hi, n - 2)
-    stride = max(1, int(round(RT60_START_STRIDE_S * fs)))
+    stride = max(1, int(round(RT60_START_STRIDE_S * RATE)))
 
     # each fit ends at the first sample RT60_END_DROP_DB below its start:
     # -db never falls, so a binary search finds it (n when there is none)
@@ -109,7 +108,7 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
             continue
         # least-squares line and Pearson r from the biased (co)variances,
         # np.cov(x, y, bias=1)'s own arithmetic without its call overhead
-        X = np.stack((np.arange(s, e + 1) / fs, db[s: e + 1]))
+        X = np.stack((np.arange(s, e + 1) / RATE, db[s: e + 1]))
         X -= X.mean(axis=1)[:, None]
         sxx, sxy, _, syy = ((X @ X.T) * (1.0 / X.shape[1])).flat
         if sxx == 0.0 or syy == 0.0:
@@ -137,13 +136,20 @@ def estimate_drr(h: Waveform) -> AcousticParams:
     absolute peak; everything outside is reverberant energy. When the
     reverberant energy is DRR_CAP_DB or more below the direct energy, the
     cap is returned (an isolated impulse has no meaningful finite DRR).
+
+    Raises
+    ------
+    ValueError
+        If the direct energy is zero (a silent response).
     """
     x = h.samples
     peak = int(np.argmax(np.abs(x)))
-    spread = int(round(DRR_DIRECT_S * h.sample_rate))
+    spread = int(round(DRR_DIRECT_S * RATE))
     a = max(0, peak - spread)
     b = min(x.size, peak + spread + 1)
     direct = float(np.sum(x[a:b] ** 2))
+    if direct == 0.0:
+        raise ValueError("silent impulse response: DRR undefined")
     rest = float(np.sum(x ** 2)) - direct
     if rest <= direct * 10.0 ** (-DRR_CAP_DB / 10.0):
         return AcousticParams(drr=DRR_CAP_DB)

@@ -55,7 +55,7 @@ def _positive_float(text: str) -> float:
 
 def _duration(text: str) -> float:
     value = _positive_float(text)
-    if round(value * 16000) < 1:
+    if round(value * stft.RATE) < 1:
         raise argparse.ArgumentTypeError(
             f"gives no sample at 16 kHz, got {text}")
     return value
@@ -79,6 +79,12 @@ def _grid(item):
 
 
 def _add_engine(parser: argparse.ArgumentParser) -> None:
+    # exactly one prior source, a usage error before any file is touched
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--oracle", type=Path, default=None,
+                        help="aligned direct-path reference WAV for the prior")
+    source.add_argument("--prior", type=Path, default=None,
+                        help="VPRI prior magnitude file")
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value config file")
     parser.add_argument("--dump-config", type=str, default=None, metavar="PATH",
@@ -186,13 +192,11 @@ def _reading(path):
 def _load_prior(args, observed: stft.Spectrogram,
                 peak: float) -> prior.PriorPrecision:
     """The prior; an oracle is divided by the observation's ``peak``."""
-    if (args.oracle is None) == (args.prior is None):
-        raise SystemExit("exactly one of --oracle or --prior is required")
     if args.oracle is not None:
         with _reading(args.oracle):
             ref = wavio.read_wav(args.oracle)
             return prior.oracle_from_reference(
-                stft.Waveform(ref.samples / peak, ref.sample_rate),
+                stft.Waveform(ref.samples / peak),
                 observed.config, expected_frames=observed.num_frames,
             )
     with _reading(args.prior):
@@ -233,8 +237,7 @@ def _run_vem(args, cfg: PipelineConfig, *outputs):
     with _reading(args.input):
         x = wavio.read_wav(args.input)
         peak = float(np.max(np.abs(x.samples))) or 1.0
-        X = stft.forward(stft.Waveform(x.samples / peak, x.sample_rate),
-                         cfg.stft)
+        X = stft.forward(stft.Waveform(x.samples / peak), cfg.stft)
     timings["analysis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -261,8 +264,7 @@ def cmd_dereverb(args) -> int:
     # into a click; fade where that power is below half its maximum.
     wsum = stft._window_power(S_hat.config, S_hat.num_frames)
     fade = np.minimum(1.0, wsum / (0.5 * np.max(wsum)))
-    wavio.write_wav(args.output,
-                    stft.Waveform(out.samples * peak * fade, out.sample_rate))
+    wavio.write_wav(args.output, stft.Waveform(out.samples * peak * fade))
     timings["synthesis"] = time.perf_counter() - t0
     _write_manifest(args, [args.output], cfg, timings)
     print(f"wrote {args.output}")
@@ -284,7 +286,10 @@ def cmd_identify_rir(args) -> int:
     except acoustics.InsufficientDecayError as exc:
         print(f"rt60: {exc}", file=sys.stderr)
         res = acoustics.AcousticParams()
-    res.drr = acoustics.estimate_drr(est.waveform).drr
+    try:
+        res.drr = acoustics.estimate_drr(est.waveform).drr
+    except ValueError as exc:
+        print(f"drr: {exc}", file=sys.stderr)
     timings["parameters"] = time.perf_counter() - t0
 
     _write_csv(args.params, ["rt60_s", "drr_db", "pearson_r", "fit_start",
@@ -355,7 +360,6 @@ def cmd_simulate(args) -> int:
                 raise ValueError("silent clean input: SNR undefined")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fs = 16000
 
     rows = []
     case = 0
@@ -364,15 +368,15 @@ def cmd_simulate(args) -> int:
             for drr_v in args.drr:
                 seed = args.seed + case
                 if clean_src is None:
-                    clean = simulate.speech_like(args.duration, fs,
+                    clean = simulate.speech_like(args.duration, stft.RATE,
                                                  seed=seed + 10_000)
                 else:
                     clean = clean_src
                 spec = simulate.SynthRirSpec(rt60=rt60_v, drr=drr_v,
-                                             fs=fs, seed=seed)
+                                             seed=seed)
                 true_rir = simulate.synth_rir(spec)
                 noise = simulate.white_noise(
-                    clean.samples.size + true_rir.samples.size - 1, fs,
+                    clean.samples.size + true_rir.samples.size - 1, stft.RATE,
                     seed=seed + 20_000)
                 reverb = simulate.mix(clean, true_rir, noise, args.snr)
                 direct = simulate.direct_path_reference(clean, true_rir)
@@ -446,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dereverb", help="enhance a reverberant recording")
     p.add_argument("input", type=Path)
     p.add_argument("output", type=Path)
-    p.add_argument("--oracle", type=Path, default=None,
-                   help="aligned direct-path reference WAV for the prior")
-    p.add_argument("--prior", type=Path, default=None,
-                   help="VPRI prior magnitude file")
     _add_engine(p)
     p.set_defaults(func=cmd_dereverb)
 
@@ -459,8 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", type=Path, help="estimated RIR WAV")
     p.add_argument("--params", type=Path, required=True,
                    help="output CSV with rt60/drr")
-    p.add_argument("--oracle", type=Path, default=None)
-    p.add_argument("--prior", type=Path, default=None)
     p.add_argument("--ctf-csv", type=Path, default=None,
                    help="also dump the filter taps as CSV")
     _add_engine(p)

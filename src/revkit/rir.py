@@ -11,10 +11,12 @@ Farina). The deconvolved signal is the impulse-response estimate. The
 filter is used exactly as given: the engine leaves the bands it excluded
 from inference at zero, so nothing here needs to know which they were.
 
-The sweep is fixed (62.5 Hz to 8 kHz over 8.192 s at 16 kHz, with
+The sweep is fixed (62.5 Hz to 8 kHz over 8.192 s at ``stft.RATE``, with
 256- and 128-sample fades), and so is the crop: the filter's time
 support, (L - 1) * hop + win_length, plus 2 * win_length on each side of
 the origin SWEEP_LEN - 1, where the sweep meets its own time reversal.
+A filter tap is one hop at that same rate, so the estimate is a 16 kHz
+response by construction.
 """
 
 from __future__ import annotations
@@ -25,15 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import ifft
 
-from .stft import (Spectrogram, StftConfig, Waveform, _convolve, forward,
-                   inverse)
+from .stft import (RATE, Spectrogram, StftConfig, Waveform, _convolve,
+                   forward, inverse)
 from .vem import CtfFilter, _fft_padded, _spectrum
 
 SWEEP_F1 = 62.5       # Hz
 SWEEP_F2 = 8000.0     # Hz
-SWEEP_LEN = 131072    # samples: 8.192 s at SWEEP_RATE
+SWEEP_LEN = 131072    # samples: 8.192 s at RATE
 SWEEP_FADES = (256, 128)  # half-raised-cosine fade-in and fade-out, samples
-SWEEP_RATE = 16000
 
 
 @dataclass
@@ -51,12 +52,12 @@ class RirEstimate:
 def log_sweep() -> Waveform:
     """Generate the excitation e(n) = sin[N w1 / ln(w2/w1) (exp(n ln(w2/w1)/N) - 1)]
 
-    with w = 2 pi f / fs in radians per sample and N the sweep length,
+    with w = 2 pi f / RATE in radians per sample and N the sweep length,
     plus half-raised-cosine fades at both ends.
     """
     N = SWEEP_LEN
-    w1 = 2.0 * np.pi * SWEEP_F1 / SWEEP_RATE
-    w2 = 2.0 * np.pi * SWEEP_F2 / SWEEP_RATE
+    w1 = 2.0 * np.pi * SWEEP_F1 / RATE
+    w2 = 2.0 * np.pi * SWEEP_F2 / RATE
     ln_ratio = np.log(w2 / w1)
     n = np.arange(N)
     phase = (N * w1 / ln_ratio) * (np.exp(n * ln_ratio / N) - 1.0)
@@ -66,7 +67,7 @@ def log_sweep() -> Waveform:
     e[:fade_in] *= 0.5 * (1.0 - np.cos(np.pi * k / fade_in))
     k = np.arange(fade_out)
     e[N - fade_out:] *= 0.5 * (1.0 + np.cos(np.pi * k / fade_out))
-    return Waveform(e, SWEEP_RATE)
+    return Waveform(e)
 
 
 def inverse_filter(sweep: Waveform) -> Waveform:
@@ -77,7 +78,7 @@ def inverse_filter(sweep: Waveform) -> Waveform:
     env = np.exp(-np.arange(N) * ln_ratio / N)
     v = sweep.samples[::-1] * env
     peak = float(np.max(np.abs(_convolve(sweep.samples, v))))
-    return Waveform(v / peak, sweep.sample_rate)
+    return Waveform(v / peak)
 
 
 def delta_position(sweep: Waveform, inv: Waveform) -> int:
@@ -133,7 +134,7 @@ def ctf_to_rir(H: CtfFilter,
     FY *= _fft_padded(h, FY.shape[1])
     Y = np.pad(ifft(FY, out=FY)[:, : T + L - 1],
                ((0, 0), (guard, guard)))
-    y = inverse(Spectrogram(Y, stft_cfg, sample_rate=sweep.sample_rate))
+    y = inverse(Spectrogram(Y, stft_cfg))
 
     full = _convolve(y.samples, inv.samples)
     origin = SWEEP_LEN - 1 + guard * stft_cfg.hop
@@ -146,4 +147,4 @@ def ctf_to_rir(H: CtfFilter,
         warnings.warn("all-zero filter produced an all-zero impulse response",
                       RuntimeWarning)
     direct = int(np.argmax(np.abs(cropped)))
-    return RirEstimate(Waveform(cropped, sweep.sample_rate), direct)
+    return RirEstimate(Waveform(cropped), direct)

@@ -7,9 +7,9 @@ whose energy realizes the requested DRR exactly. This is enough to
 validate parameter estimators and filter recovery with analytically
 known ground truth; geometric room simulation is out of scope.
 
-Everything here runs on numpy alone. The speech-like source filters its
-noise with a small IIR loop of its own, ``_lfilter``, whose output equals
-``scipy.signal.lfilter``'s bit for bit.
+Everything is at ``stft.RATE`` (16 kHz) and runs on numpy alone. The
+speech-like source filters its noise with a small IIR loop of its own,
+``_lfilter``, whose output equals ``scipy.signal.lfilter``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import Waveform, _convolve
+from .stft import RATE, Waveform, _convolve
 
 DIRECT_DELAY = 160  # samples before the direct-path impulse
 
@@ -42,7 +42,6 @@ class SynthRirSpec:
 
     rt60: float
     drr: float
-    fs: int = 16000
     seed: int = 0
 
     def __post_init__(self):
@@ -63,17 +62,17 @@ def synth_rir(spec: SynthRirSpec) -> Waveform:
     seconds, long enough to decay 60 dB.
     """
     rng = np.random.default_rng(spec.seed)
-    tail_start = DIRECT_DELAY + int(round(0.0025 * spec.fs)) + 1
-    h = np.zeros(tail_start + int(round(spec.rt60 * spec.fs)))
+    tail_start = DIRECT_DELAY + int(round(0.0025 * RATE)) + 1
+    h = np.zeros(tail_start + int(round(spec.rt60 * RATE)))
     h[DIRECT_DELAY] = 1.0
 
     m = h.size - tail_start
     if m > 0:
         n = np.arange(m)
         # amplitude envelope for a 60 dB energy decay over rt60 seconds
-        env = np.exp(-3.0 * np.log(10.0) * n / (spec.fs * spec.rt60))
+        env = np.exp(-3.0 * np.log(10.0) * n / (RATE * spec.rt60))
         g = rng.standard_normal(m)
-        win = int(round(0.0025 * spec.fs))
+        win = int(round(0.0025 * RATE))
         if m > 2 * win > 0:
             kernel = np.hanning(2 * win + 1)
             kernel /= kernel.sum()
@@ -86,7 +85,7 @@ def synth_rir(spec: SynthRirSpec) -> Waveform:
         if current > 0.0:
             tail *= np.sqrt(target / current)
         h[tail_start:] = tail
-    return Waveform(h, spec.fs)
+    return Waveform(h)
 
 
 def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
@@ -100,15 +99,11 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
     """
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
-    if clean.sample_rate != rir.sample_rate:
-        raise ValueError("clean and RIR sample rates differ")
     if not np.any(clean.samples):
         raise ValueError("silent clean input: SNR undefined")
     sig = _convolve(clean.samples, rir.samples)
     if noise is None or snr_db == np.inf:
-        return Waveform(sig, clean.sample_rate)
-    if noise.sample_rate != clean.sample_rate:
-        raise ValueError("noise sample rate differs")
+        return Waveform(sig)
     if not np.any(noise.samples):
         raise ValueError("silent noise input: cannot scale to target SNR")
     n = noise.samples
@@ -118,11 +113,11 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
     p_sig = float(np.mean(sig ** 2))
     p_noise = float(np.mean(n ** 2))
     gain = np.sqrt(p_sig / p_noise * 10.0 ** (-snr_db / 10.0))
-    return Waveform(sig + gain * n, clean.sample_rate)
+    return Waveform(sig + gain * n)
 
 
 def white_noise(num_samples: int, fs: int, seed: int = 0) -> Waveform:
-    """Unit-variance white Gaussian noise."""
+    """Unit-variance white Gaussian noise; ``fs`` must be RATE."""
     rng = np.random.default_rng(seed)
     return Waveform(rng.standard_normal(num_samples), fs)
 
@@ -150,14 +145,12 @@ def speech_like(duration: float, fs: int, seed: int = 0) -> Waveform:
     """Nonstationary test source loosely mimicking speech dynamics:
     tilted noise under a syllabic-rate envelope, with short silent gaps.
     The gaps matter: reverberation decaying into them is what makes a
-    room filter identifiable from a recording. ``fs`` must be 16 kHz,
-    the rate the highpass is designed for."""
-    if fs != 16000:
-        raise ValueError(f"speech_like synthesizes 16 kHz only, got {fs} Hz")
+    room filter identifiable from a recording. ``fs`` must be RATE, the
+    rate the highpass is designed for."""
     rng = np.random.default_rng(seed)
-    n = int(round(duration * fs))
+    n = int(round(duration * RATE))
     if n < 1:
-        raise ValueError(f"duration {duration} s gives no sample at {fs} Hz")
+        raise ValueError(f"duration {duration} s gives no sample at 16 kHz")
     x = _lfilter(*_HIGHPASS, _lfilter(*_TILT, rng.standard_normal(n)))
     # mild syllabic-rate modulation; keep most frames energetic so the
     # filter stays well identified from a short utterance
@@ -165,11 +158,11 @@ def speech_like(duration: float, fs: int, seed: int = 0) -> Waveform:
     knots = rng.uniform(0.7, 1.4, n_seg)
     env = np.interp(np.linspace(0, n_seg - 1, n), np.arange(n_seg), knots)
     # inter-phrase gaps: roughly every 0.4 s, 80-160 ms of silence
-    pos = int(0.1 * fs)
+    pos = int(0.1 * RATE)
     while pos < n:
-        gap = int(rng.uniform(0.08, 0.16) * fs)
+        gap = int(rng.uniform(0.08, 0.16) * RATE)
         env[pos: pos + gap] = 0.0
-        pos += gap + int(rng.uniform(0.25, 0.45) * fs)
+        pos += gap + int(rng.uniform(0.25, 0.45) * RATE)
     out = x * env
     return Waveform(out / np.max(np.abs(out)), fs)
 
@@ -179,10 +172,8 @@ def direct_path_reference(clean: Waveform, rir: Waveform) -> Waveform:
     scaled, delayed copy of the clean signal. Output length matches
     ``mix`` so frame counts line up.
     """
-    if clean.sample_rate != rir.sample_rate:
-        raise ValueError("sample rates differ")
     h = rir.samples
     peak = int(np.argmax(np.abs(h)))
     direct = np.zeros_like(h)
     direct[peak] = h[peak]
-    return Waveform(_convolve(clean.samples, direct), clean.sample_rate)
+    return Waveform(_convolve(clean.samples, direct))

@@ -7,27 +7,37 @@ as integer-hop delays. Samples past the last full frame are not analyzed.
 
 Both transforms are linear and keep the waveform's scale: any
 normalization is the caller's (the CLI divides by the observation's peak).
+
+revkit works at one sample rate, RATE = 16 kHz: a subband filter tap is one
+hop of time at that rate, and the impulse-response reconstruction and the
+RT60/DRR read-out count seconds in its samples. No object carries a rate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import cache
 
 import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
+RATE = 16000  # Hz, the one sample rate of every waveform
+
 
 @dataclass
 class Waveform:
-    """Mono time-domain signal with its sample rate in Hz."""
+    """Mono time-domain signal at RATE. A ``sample_rate``, if given, must
+    be RATE."""
 
     samples: np.ndarray
-    sample_rate: int
+    sample_rate: InitVar[int] = RATE
 
-    def __post_init__(self):
+    def __post_init__(self, sample_rate):
+        if sample_rate != RATE:
+            raise ValueError(
+                f"revkit works at 16 kHz only, got {sample_rate} Hz")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("waveform must be one-dimensional (mono)")
@@ -35,8 +45,6 @@ class Waveform:
             raise ValueError("waveform must contain at least one sample")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("waveform contains non-finite samples")
-        if self.sample_rate <= 0:
-            raise ValueError("sample rate must be positive")
 
 
 @dataclass
@@ -70,7 +78,6 @@ class Spectrogram:
 
     data: np.ndarray
     config: StftConfig
-    sample_rate: int = 16000
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
@@ -119,7 +126,7 @@ def forward(wave: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
     T = num_frames(x.size, cfg)
     frames = sliding_window_view(x, cfg.win_length)[:: cfg.hop][:T]
     spec = np.fft.rfft(frames * cfg.window, n=cfg.win_length, axis=1)
-    return Spectrogram(spec.T, cfg, sample_rate=wave.sample_rate)
+    return Spectrogram(spec.T, cfg)
 
 
 @cache
@@ -189,4 +196,4 @@ def inverse(spec: Spectrogram) -> Waveform:
     acc = _overlap_add(frames, cfg.hop)
     wsum = _window_power(cfg, spec.num_frames)
     out = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 1e-12)
-    return Waveform(out, spec.sample_rate)
+    return Waveform(out)

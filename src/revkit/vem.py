@@ -444,5 +444,5 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
             RuntimeWarning,
         )
 
-    S_hat = Spectrogram(S, X.config, sample_rate=X.sample_rate)
+    S_hat = Spectrogram(S, X.config)
     return S_hat, CtfFilter(H), trace

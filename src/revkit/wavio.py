@@ -1,4 +1,5 @@
-"""WAV input/output: mono 16 kHz, 16-bit PCM or 32-bit float, no resampling.
+"""WAV input/output: mono 16 kHz (``stft.RATE``), 16-bit PCM or 32-bit float,
+no resampling.
 
 A small RIFF reader and writer of its own, so a command need not load an
 audio library. Only little-endian RIFF files are read; chunks other than
@@ -11,9 +12,7 @@ import struct
 
 import numpy as np
 
-from .stft import Waveform
-
-_RATE = 16000
+from .stft import RATE, Waveform
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
 # Tail of the WAVE_FORMAT_EXTENSIBLE sub-format GUID; its first four bytes
@@ -69,9 +68,9 @@ def read_wav(path) -> Waveform:
     tag, channels, rate, _, block_align, bits = fmt
     if channels != 1:
         raise ValueError(f"{path}: only mono WAV files are supported")
-    if rate != _RATE:
+    if rate != RATE:
         raise ValueError(
-            f"{path}: sample rate {rate} Hz, expected {_RATE} Hz "
+            f"{path}: sample rate {rate} Hz, expected {RATE} Hz "
             "(resampling is not supported)"
         )
     dtype = _DTYPES.get((tag, bits))
@@ -85,22 +84,21 @@ def read_wav(path) -> Waveform:
         samples = data.astype(np.float64) / 32768.0
     else:
         samples = data.astype(np.float64)
-    return Waveform(samples, rate)
+    return Waveform(samples)
 
 
 def write_wav(path, wave: Waveform) -> None:
-    """Write a waveform as mono 32-bit float WAV.
+    """Write a waveform as mono 32-bit float WAV at RATE.
 
     The layout is the one ``scipy.io.wavfile.write`` gives float data: an
     18-byte ``fmt `` chunk (cbSize 0), a ``fact`` chunk with the sample
     count, then ``data``.
     """
     data = wave.samples.astype("<f4")
-    rate = wave.sample_rate
     header = struct.pack(
         "<4sI4s4sIHHIIHHH4sII4sI",
         b"RIFF", 50 + data.nbytes, b"WAVE",
-        b"fmt ", 18, _IEEE_FLOAT, 1, rate, 4 * rate, 4, 32, 0,
+        b"fmt ", 18, _IEEE_FLOAT, 1, RATE, 4 * RATE, 4, 32, 0,
         b"fact", 4, data.size,
         b"data", data.nbytes,
     )

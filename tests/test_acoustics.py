@@ -145,6 +145,12 @@ def test_drr_single_impulse_capped():
     assert acoustics.estimate_drr(h).drr == acoustics.DRR_CAP_DB
 
 
+def test_drr_of_silent_response_raises():
+    # the cap means "all direct path"; a silent response has no DRR at all
+    with pytest.raises(ValueError, match="silent impulse response"):
+        acoustics.estimate_drr(revkit.Waveform(np.zeros(1000), 16000))
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-6])
 def test_drr_cap_is_relative_to_direct_energy(scale):
     # the cap applies when the tail is 80 dB or more below the direct

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from revkit import evaluate, prior, simulate, stft, vem
+from revkit import acoustics, evaluate, prior, simulate, stft, vem, wavio
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -30,16 +30,30 @@ def test_step_api_exists():
 
 
 @pytest.mark.parametrize("call, args, kwargs", [
+    (stft.Waveform, ("x", "fs"), {}),
     (stft.forward, ("w",), {}),
     (prior.oracle_from_reference, ("w", "cfg"), {"expected_frames": "T"}),
     (vem.init, ("X", "a", "cfg"), {}),
+    (vem.e_step, ("state", "X", "a", "cfg"), {}),
+    (vem.m_step, ("state", "X", "cfg"), {}),
+    (vem.expected_loglik, ("state", "X", "a"), {}),
     (evaluate.lsd, ("a", "b"), {}),
     (simulate.speech_like, ("d", "fs"), {"seed": "s"}),
     (simulate.white_noise, ("n", "fs"), {"seed": "s"}),
     (simulate.SynthRirSpec, (), {"rt60": "r", "drr": "d", "seed": "s"}),
-], ids=["stft.forward", "prior.oracle_from_reference", "vem.init",
+    (simulate.synth_rir, ("spec",), {}),
+    (simulate.mix, ("clean", "rir", "noise", "snr"), {}),
+    (simulate.direct_path_reference, ("clean", "rir"), {}),
+    (wavio.read_wav, ("path",), {}),
+    (wavio.write_wav, ("path", "wave"), {}),
+    (acoustics.estimate_rt60, ("w",), {}),
+    (acoustics.estimate_drr, ("w",), {}),
+], ids=["stft.Waveform", "stft.forward", "prior.oracle_from_reference",
+        "vem.init", "vem.e_step", "vem.m_step", "vem.expected_loglik",
         "evaluate.lsd", "simulate.speech_like", "simulate.white_noise",
-        "simulate.SynthRirSpec"])
+        "simulate.SynthRirSpec", "simulate.synth_rir", "simulate.mix",
+        "simulate.direct_path_reference", "wavio.read_wav", "wavio.write_wav",
+        "acoustics.estimate_rt60", "acoustics.estimate_drr"])
 def test_bench_call_shapes_bind(call, args, kwargs):
     # the calls bench/ makes outside cli.main, argument for argument; a
     # signature change would otherwise break `bench/run.py --trace 1` unseen

@@ -332,6 +332,51 @@ def test_silent_input_runs_clean(tmp_path):
     assert np.allclose(y, 0.0)
 
 
+def test_drr_of_silent_file_is_reported(tmp_path, capsys):
+    # reported like an unreadable file: a line naming it, a blank row
+    silent = tmp_path / "silent.wav"
+    wavio.write_wav(silent, revkit.Waveform(np.zeros(1000), 16000))
+    csv_out = tmp_path / "out.csv"
+    assert run_cli("drr", silent, "--csv", csv_out) == 1
+    assert capsys.readouterr().out == (
+        f"{silent}: silent impulse response: DRR undefined\n")
+    with open(csv_out, newline="") as fh:
+        assert list(csv.reader(fh)) == [["path", "drr_db"], [str(silent), ""]]
+
+
+def test_identify_rir_of_silent_input_leaves_drr_blank(tmp_path, capsys):
+    silent = tmp_path / "silent.wav"
+    wavio.write_wav(silent, revkit.Waveform(np.zeros(8000), 16000))
+    params = tmp_path / "params.csv"
+    with pytest.warns(RuntimeWarning, match="all-zero"):
+        rc = run_cli("identify-rir", silent, tmp_path / "rir.wav",
+                     "--params", params, "--oracle", silent, "--iters", "3")
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert "drr: silent impulse response: DRR undefined" in err
+    with open(params, newline="") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["rt60_s"] == row["drr_db"] == ""
+
+
+@pytest.mark.parametrize("command", ["dereverb", "identify-rir"])
+@pytest.mark.parametrize("sources", [(), ("--oracle", "--prior")],
+                         ids=["neither", "both"])
+def test_prior_source_other_than_one_is_a_usage_error(tmp_path, capsys,
+                                                      command, sources):
+    # the parser rejects it before any file is touched: none of these exist
+    argv = [command, tmp_path / "in.wav", tmp_path / "out.wav"]
+    for flag in sources:
+        argv += [flag, tmp_path / "ref"]
+    if command == "identify-rir":
+        argv += ["--params", tmp_path / "p.csv"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2  # argparse's usage error
+    assert "--oracle" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_wav_contract_rejections(tmp_path):
     from scipy.io import wavfile
     bad_rate = tmp_path / "8k.wav"

@@ -3,7 +3,7 @@ import pytest
 from scipy.signal import fftconvolve, hilbert
 
 import revkit
-from revkit import rir, vem
+from revkit import rir, stft, vem
 from revkit.vem import CtfFilter
 from synthcases import blind_case
 
@@ -26,8 +26,8 @@ def test_sweep_instantaneous_frequency_endpoints():
     idx = np.arange(2000, N - 2000)
     good = finst[idx] > 0
     slope, intercept = np.polyfit(idx[good], np.log(finst[idx][good]), 1)
-    f_start = np.exp(intercept) * rir.SWEEP_RATE
-    f_end = np.exp(intercept + slope * N) * rir.SWEEP_RATE
+    f_start = np.exp(intercept) * stft.RATE
+    f_end = np.exp(intercept + slope * N) * stft.RATE
     assert abs(f_start - rir.SWEEP_F1) / rir.SWEEP_F1 < 0.005
     assert abs(f_end - rir.SWEEP_F2) / rir.SWEEP_F2 < 0.005
 
@@ -54,7 +54,7 @@ def test_inverse_filter_sidelobes():
     inv = rir.inverse_filter(sweep)
     d = fftconvolve(sweep.samples, inv.samples)
     peak = int(np.argmax(np.abs(d)))
-    guard = int(0.005 * rir.SWEEP_RATE)
+    guard = int(0.005 * stft.RATE)
     mask = np.ones(d.size, bool)
     mask[peak - guard: peak + guard + 1] = False
     sidelobe_db = 20 * np.log10(np.max(np.abs(d[mask])) / np.abs(d[peak]))

@@ -130,6 +130,8 @@ def test_waveform_validation():
         revkit.Waveform(np.array([1.0, np.nan]), 16000)
     with pytest.raises(ValueError):
         revkit.Waveform(np.array([]), 16000)
+    with pytest.raises(ValueError, match="16 kHz only"):
+        revkit.Waveform(np.ones(4), 8000)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 31, 64, 255, 512, 1023])
