@@ -102,7 +102,8 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
                         default=unset, metavar="SKIP_BANDS",
                         help="lowest frequency bands excluded from inference")
     parser.add_argument("--threads", type=int, default=unset,
-                        help="worker threads (results are identical)")
+                        help="worker threads (default: the CPUs this process "
+                             "may use; results are identical)")
     parser.add_argument("--trace", type=Path, default=None,
                         help="write per-band likelihood trace CSV here")
 

@@ -10,10 +10,18 @@ the engine's results or how it runs; ``simulate``'s seed is its own flag.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .stft import StftConfig
 from .vem import VemConfig
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -22,7 +30,7 @@ class PipelineConfig:
 
     stft: StftConfig = field(default_factory=StftConfig)
     vem: VemConfig = field(default_factory=VemConfig)
-    threads: int = 1
+    threads: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):
         if self.threads < 1:

@@ -12,7 +12,9 @@ per-bin posterior updates which are blended with the previous iterate by
 an exponential moving average; the M-step solves per-band normal
 equations for the filter and a scalar update for the noise precision.
 Bands are fully independent, so everything is vectorized across rows and
-can be chunked over worker threads without changing any result.
+can be chunked over worker threads without changing any result. ``run``
+uses one thread unless told otherwise; the CLI gives it every CPU the
+process may run on.
 
 Boundary convention: frame indices outside [0, T) contribute zero
 observation, zero mean and zero variance everywhere.
@@ -178,9 +180,14 @@ def _e_step_arrays(FX, alpha, mu_pre, Fmu, gamma_pre, h, delta, lam):
 
     # sum_l H_l^* [X(t+l) - sum_{l' != l} H_l' mu_pre(t+l-l')]
     #   = sum_l H_l^* R(t+l) + ||H||^2 mu_pre(t), with the residual
-    # R = X - H * mu_pre (zero-extended) correlated against H^*.
+    # R = X - H * mu_pre (zero-extended) correlated against H^*. R is built
+    # in one buffer (Fh is this call's own, so it is conjugated in place);
+    # FX and Fmu are read only.
     Fh = _fft_padded(h, FX.shape[1])
-    acc = ifft(np.conj(Fh) * (FX - Fh * Fmu))[:, :T]
+    R = Fh * Fmu
+    np.subtract(FX, R, out=R)
+    np.multiply(np.conjugate(Fh, out=Fh), R, out=R)
+    acc = ifft(R, out=R)[:, :T]
     acc += hnorm2[:, None] * mu_pre
     mu_raw = (delta[:, None] / gamma_raw) * acc
 
@@ -220,10 +227,17 @@ def _gram_windows(mu, Fmu, var, L):
     G = K[:, np.minimum(i, j), np.abs(j - i)]
     np.conjugate(G, out=G, where=j < i)
 
-    cv = np.zeros((F, T + 1))
-    np.cumsum(var, axis=1, out=cv[:, 1:])
+    # Variance diagonal: G[i, i] adds the sum of var over frames before
+    # T - r, r = L - 1 - i, that is the band's total less its last r frames.
+    # Only the last L - 1 frames need a cumulative sum; a window wholly
+    # before frame 0 (r >= T) gets an exact zero.
+    r = min(T - 1, L - 1)
+    dv = np.zeros((F, L))
+    dv[:, L - 1] = np.sum(var, axis=1)
+    tail = np.cumsum(var[:, : T - r - 1: -1], axis=1)
+    dv[:, L - 1 - r: L - 1] = dv[:, L - 1:] - tail[:, ::-1]
     idx = np.arange(L)
-    G[:, idx, idx] = G[:, idx, idx].real + cv[:, (idx + T - L + 1).clip(0)]
+    G[:, idx, idx] = G[:, idx, idx].real + dv
     return G
 
 

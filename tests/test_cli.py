@@ -168,6 +168,50 @@ def test_threads_do_not_change_output_bytes(tmp_path, identity_case):
     assert outs[0] == outs[1] == outs[2]
 
 
+def available_cpus():
+    """The CPUs this process may run on, the engine commands' default."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def test_threads_default_to_the_available_cpus(monkeypatch):
+    assert PipelineConfig().threads == available_cpus()
+    assert build_config({}).threads == available_cpus()
+    # counted when a configuration is built, not when revkit is imported
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert PipelineConfig().threads == 3
+
+
+def test_default_threads_write_the_one_thread_bytes(tmp_path, identity_case):
+    outs = []
+    for flags in ([], ["--threads", "1"]):
+        out = tmp_path / f"out{len(flags)}.wav"
+        run_cli("dereverb", identity_case, out, "--oracle", identity_case,
+                "--iters", "6", *flags)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_dump_records_the_resolved_thread_count(tmp_path, identity_case,
+                                                capsys):
+    out1 = tmp_path / "o1.wav"
+    out2 = tmp_path / "o2.wav"
+    run_cli("dereverb", identity_case, out1, "--oracle", identity_case,
+            "--iters", "6", "--dump-config", "-")
+    dumped = capsys.readouterr().out.removesuffix(f"wrote {out1}\n")
+    assert f"threads = {available_cpus()}\n" in dumped
+    manifest = json.loads(Path(str(out1) + ".manifest.json").read_text())
+    assert manifest["config"]["threads"] == str(available_cpus())
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(dumped)
+    run_cli("dereverb", identity_case, out2, "--oracle", identity_case,
+            "--config", cfg_path, "--dump-config", "-")
+    assert capsys.readouterr().out.startswith(dumped)
+    assert out1.read_bytes() == out2.read_bytes()
+
+
 def test_trace_csv(tmp_path, identity_case):
     out = tmp_path / "out.wav"
     trace = tmp_path / "trace.csv"

@@ -1,0 +1,93 @@
+"""The engine fed a degraded prior instead of the exact oracle.
+
+Every other engine test feeds the oracle magnitudes, but the paper's prior
+comes from a DNN, so a change that helps the oracle could hurt a realistic
+prior unnoticed. One blind case (RT60 0.8 s, DRR 0 dB, 100 iterations)
+runs with three seeded, deterministic perturbations of the oracle
+magnitudes, and the RT60 and DRR errors of the identified RIR must stay
+under bounds measured at a fixed engine (see ``BOUNDS``). A separate case
+feeds the observation's own magnitude as the prior: the engine must not
+crash and must return finite outputs.
+"""
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import sliding_window_view
+
+from revkit import acoustics, prior, rir, stft, vem
+from synthcases import blind_case
+
+RT60, DRR, CASE_SEED = 0.8, 0.0, 20_000
+CFG = vem.VemConfig(max_iters=100)
+
+
+def lognormal_6db(mag):
+    """Each magnitude times a gain whose dB value is N(0, 6^2)."""
+    rng = np.random.default_rng(CASE_SEED)
+    return mag * 10.0 ** (rng.normal(0.0, 6.0, mag.shape) / 20.0)
+
+
+def smear_5_frames(mag):
+    """Centred 5-frame moving average along time (edge frames repeated)."""
+    padded = np.pad(mag, ((0, 0), (2, 2)), mode="edge")
+    return sliding_window_view(padded, 5, axis=1).mean(axis=-1)
+
+
+def floor_40db(mag):
+    """Magnitudes floored at the peak magnitude -40 dB."""
+    return np.maximum(mag, np.max(mag) * 10.0 ** (-40.0 / 20.0))
+
+
+# Largest |estimate - truth| allowed, (RT60 s, DRR dB): the error measured
+# when this test was written, plus 0.05 s or 1 dB, rounded up. Measured:
+# log-normal +0.0064 s / +0.964 dB, smear +0.0103 s / +2.794 dB, floor
+# +0.0125 s / +1.775 dB (the exact oracle reads +0.0052 s / +1.204 dB).
+BOUNDS = {
+    "lognormal_6db": (0.057, 1.97),
+    "smear_5_frames": (0.061, 3.80),
+    "floor_40db": (0.063, 2.78),
+}
+PERTURB = {"lognormal_6db": lognormal_6db, "smear_5_frames": smear_5_frames,
+           "floor_40db": floor_40db}
+
+
+@pytest.fixture(scope="module")
+def case():
+    """Observation spectrogram, floored oracle magnitudes, true RT60/DRR."""
+    _, true_rir, reverb, direct = blind_case(RT60, DRR, CASE_SEED)
+    X = stft.forward(reverb)
+    oracle = prior.oracle_from_reference(direct, X.config, X.num_frames)
+    truth = (acoustics.estimate_rt60(true_rir).rt60,
+             acoustics.estimate_drr(true_rir).drr)
+    return X, 1.0 / np.sqrt(oracle.alpha), truth
+
+
+def identify(X, mag):
+    """Engine run on prior magnitudes ``mag``; the outputs and the RIR."""
+    S_hat, H_hat, trace = vem.run(X, prior.from_magnitude(mag), CFG,
+                                  threads=2)
+    return S_hat, H_hat, trace, rir.ctf_to_rir(H_hat, X.config)
+
+
+def parameter_errors(case, name):
+    """(RT60 error s, DRR error dB) under perturbation ``name``."""
+    X, mag, (rt60_true, drr_true) = case
+    *_, est = identify(X, PERTURB[name](mag))
+    return (acoustics.estimate_rt60(est.waveform).rt60 - rt60_true,
+            acoustics.estimate_drr(est.waveform).drr - drr_true)
+
+
+@pytest.mark.parametrize("name", list(PERTURB))
+def test_degraded_prior_keeps_parameter_errors_bounded(case, name):
+    rt60_err, drr_err = parameter_errors(case, name)
+    rt60_bound, drr_bound = BOUNDS[name]
+    assert abs(rt60_err) <= rt60_bound, (name, rt60_err)
+    assert abs(drr_err) <= drr_bound, (name, drr_err)
+
+
+def test_observation_as_prior_stays_finite(case):
+    X = case[0]
+    S_hat, H_hat, trace, est = identify(X, np.abs(X.data))
+    assert np.all(np.isfinite(S_hat.data)) and np.all(np.isfinite(H_hat.h))
+    assert np.all(np.isfinite(trace[:, CFG.skip_low_bands:]))
+    assert np.all(np.isfinite(est.waveform.samples))

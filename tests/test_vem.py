@@ -124,6 +124,45 @@ def test_e_step_matches_brute_force_short_input(T, L):
     check_e_step_against_brute_force(3, T, L)
 
 
+@pytest.mark.parametrize("T, L", [(14, 1), (3, 5)])
+def test_e_step_leaves_its_inputs_unchanged(T, L):
+    # vem.run keeps FX for a chunk's whole loop and the step API hands in
+    # its state's arrays, so the kernel may write only to its own buffers
+    rng = np.random.default_rng(21)
+    F = 4
+    X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
+    mu_pre = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
+    args = dict(
+        FX=vem._spectrum(X, L), alpha=rng.uniform(0.2, 3.0, (F, T)),
+        mu_pre=mu_pre, Fmu=vem._spectrum(mu_pre, L),
+        gamma_pre=rng.uniform(0.5, 4.0, (F, T)),
+        h=rng.standard_normal((F, L)) + 1j * rng.standard_normal((F, L)),
+        delta=rng.uniform(0.5, 3.0, F),
+    )
+    before = {k: v.copy() for k, v in args.items()}
+    vem._e_step_arrays(lam=0.37, **args)
+    for k, v in args.items():
+        assert np.array_equal(v, before[k]), k
+
+
+@pytest.mark.parametrize("T, L", [(12, 1), (3, 5), (57, 5)])
+def test_run_first_iterate_is_the_step_api_update(T, L):
+    # one iteration has one candidate, so vem.run returns the E-step's mean
+    # and the M-step's filter, which the step API computes from init
+    rng = np.random.default_rng(22)
+    F = 257
+    X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
+    A = rng.uniform(0.5, 2.0, (F, T))
+    cfg = vem.VemConfig(ctf_len=L, ema=0.0, max_iters=1, skip_low_bands=0)
+    Xs, ap = tf_spectrogram(X), revkit.PriorPrecision(A)
+    S_hat, H_hat, _ = vem.run(Xs, ap, cfg)
+    state = vem.init(Xs, ap, cfg)
+    state.posterior = vem.e_step(state, Xs, ap, cfg)
+    _, h = vem.m_step(state, Xs, cfg)
+    np.testing.assert_allclose(S_hat.data, state.posterior.mu, rtol=1e-10)
+    np.testing.assert_allclose(H_hat.h, h.h, rtol=1e-10)
+
+
 def m_step_arrays(X, mu, gamma, L):
     """The M-step kernel fed with the spectra ``vem.run`` gives it."""
     return vem._m_step_arrays(vem._band_energy(X), vem._spectrum(X, L), mu,
