@@ -6,7 +6,12 @@ segments start every 1 ms between the point where the curve has dropped
 5 dB below its value at the direct-path peak and the point 50 ms after
 the peak, each segment ends where the curve has fallen a further 5 dB,
 and the fit with the largest |Pearson correlation| wins. RT60 is -60/k
-for the winning slope k in dB/s.
+for the winning slope k in dB/s. The search is exhaustive in effect but
+not in cost: one pass of running sums screens every candidate's |r| to
+within ~3e-13, and only the candidates within 1e-9 of the screened best
+(one or two on simulated responses) get the exact least-squares fit, which
+alone decides. The winner is therefore always among them, and the result
+is the exhaustive search's, bit for bit.
 
 DRR is the energy within +/-2.5 ms of the direct-path peak over the
 energy everywhere else, in dB, capped at +80 dB: the cap is returned
@@ -32,6 +37,12 @@ RT60_END_DROP_DB = 5.0   # each fit ends this far below its start
 RT60_START_STRIDE_S = 0.001  # spacing of the candidate fit starts
 DRR_DIRECT_S = 0.0025    # direct window, each side of the peak
 DRR_CAP_DB = 80.0
+# estimate_rt60 gives the exact fit to every candidate whose screened |r|
+# is within this of the screened maximum. The screen's worst |r| error was
+# 1.7e-13 over 1000 synth_rir responses and 2.7e-13 over 800 random
+# two- and three-slope decays, well under half the margin, so every
+# candidate that can tie or beat the winner is kept.
+_SCREEN_MARGIN = 1e-9
 
 
 class InsufficientDecayError(ValueError):
@@ -77,6 +88,12 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
         ends at the first sample RT60_END_DROP_DB below its start.
         Candidates are RT60_START_STRIDE_S apart.
 
+    Every candidate's |r| is screened from running sums (see
+    ``_screen_abs_r``); the exact fit runs, in start order, only on those
+    within _SCREEN_MARGIN of the screened maximum, and the first largest
+    exact |r| wins. The screen's error is far below the margin, so this
+    returns what the exact fit of every candidate would, bit for bit.
+
     Raises
     ------
     InsufficientDecayError
@@ -102,10 +119,14 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
     # -db never falls, so a binary search finds it (n when there is none)
     starts = np.arange(lo, hi + 1, stride)
     ends = np.searchsorted(-db, -(db[starts] - RT60_END_DROP_DB))
+    ok = (ends != n) & (ends - starts >= 2)
+    starts, ends = starts[ok], ends[ok]
+    if starts.size:
+        score = _screen_abs_r(db, starts, ends)
+        keep = score >= score.max() - _SCREEN_MARGIN
+        starts, ends = starts[keep], ends[keep]
     best = None
     for s, e in zip(starts.tolist(), ends.tolist()):
-        if e == n or e - s < 2:
-            continue
         # least-squares line and Pearson r from the biased (co)variances,
         # np.cov(x, y, bias=1)'s own arithmetic without its call overhead
         X = np.stack((np.arange(s, e + 1) / RATE, db[s: e + 1]))
@@ -127,6 +148,28 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
     r, slope, s, e = best
     return AcousticParams(rt60=-60.0 / slope, fit_start=s, fit_end=e,
                           pearson_r=float(r))
+
+
+def _screen_abs_r(db: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray:
+    """|Pearson r| of the line fit to db[s: e + 1] for every (s, e) pair,
+    from running sums of y, k*y and y*y over one window: O(n) in all
+    rather than O(n) per candidate. Pearson r does not depend on the
+    x scale, so x is the sample index, whose centred sum of squares
+    m(m^2 - 1)/12 is exact. y is taken relative to the window's first
+    sample to keep the sums' cancellation small."""
+    lo = int(starts[0])
+    y = db[lo: int(ends.max()) + 1] - db[lo]
+    sums = np.zeros((3, y.size + 1))
+    np.cumsum(np.stack((y, np.arange(y.size) * y, y * y)), axis=1,
+              out=sums[:, 1:])
+    a, b = starts - lo, ends - lo + 1
+    sy, sky, syy = sums[:, b] - sums[:, a]
+    m = (b - a).astype(np.float64)
+    sxy = sky - 0.5 * (a + b - 1) * sy
+    syy -= sy * sy / m
+    sxx = m * (m * m - 1.0) / 12.0
+    return np.abs(sxy) / np.sqrt(sxx * syy)
 
 
 def estimate_drr(h: Waveform) -> AcousticParams:

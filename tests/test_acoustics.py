@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import revkit
 from revkit import acoustics
+from revkit.stft import RATE
 
 
 def test_edc_unit_impulse():
@@ -40,7 +43,9 @@ def test_edc_exponential_closed_form():
 
 
 def test_rt60_ideal_log_linear_edc():
-    # slope -120 dB/s -> rt60 = 0.5 s with a perfect line fit
+    # slope -120 dB/s -> rt60 = 0.5 s with a perfect line fit; every
+    # candidate ties at |r| = 1 within rounding, so the first in start
+    # order must win, as in the exhaustive search
     fs = 16000
     r = 10.0 ** (-120.0 / (20.0 * fs))
     h = revkit.Waveform(r ** np.arange(int(1.2 * fs)), fs)
@@ -48,6 +53,8 @@ def test_rt60_ideal_log_linear_edc():
     assert np.isclose(p.rt60, 0.5, atol=1e-6)
     assert np.isclose(p.pearson_r, -1.0, atol=1e-9)
     assert p.fit_start < p.fit_end
+    assert (p.rt60, p.fit_start, p.fit_end, p.pearson_r) == \
+        brute_force_rt60(h, RATE, stride=16)
 
 
 def test_rt60_synthetic_rir_round_trip():
@@ -110,10 +117,47 @@ def test_rt60_equals_linregress_search(rt60, drr):
     from revkit import simulate
     h = simulate.synth_rir(simulate.SynthRirSpec(rt60=rt60, drr=drr, seed=17))
     p = acoustics.estimate_rt60(h)
-    rt_b, s_b, e_b, r_b = brute_force_rt60(h, h.sample_rate, stride=16)
+    rt_b, s_b, e_b, r_b = brute_force_rt60(h, RATE, stride=16)
     assert (p.fit_start, p.fit_end) == (s_b, e_b)
     assert p.rt60 == rt_b
     assert p.pearson_r == r_b
+
+
+def test_rt60_near_tie_matches_exhaustive_search():
+    # the closest tie among 600 grid responses: the best and runner-up
+    # |r| differ by 7.8e-10, inside the screen's margin, so both get the
+    # exact fit and the exact |r| decides
+    from revkit import simulate
+    h = simulate.synth_rir(
+        simulate.SynthRirSpec(rt60=0.8, drr=5.0, seed=30074))
+    p = acoustics.estimate_rt60(h)
+    assert (p.rt60, p.fit_start, p.fit_end, p.pearson_r) == \
+        brute_force_rt60(h, RATE, stride=16)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(slopes=st.lists(st.floats(20.0, 300.0), min_size=2, max_size=3),
+       lengths=st.lists(st.floats(0.01, 0.3), min_size=2, max_size=2),
+       floor_db=st.none() | st.floats(-80.0, -30.0),
+       delay=st.integers(0, 800), seed=st.integers(0, 2 ** 32 - 1))
+def test_rt60_screen_matches_exhaustive_search(slopes, lengths, floor_db,
+                                               delay, seed):
+    # a decay of 2-3 exponential segments (slopes in dB/s, segment
+    # lengths in s), an optional noise floor and a pre-delay: the screened
+    # search returns the exhaustive search's result bit for bit
+    t = np.arange(int(0.8 * RATE)) / RATE
+    edges = np.concatenate(([0.0], np.cumsum(lengths)[: len(slopes) - 1],
+                            [np.inf]))
+    level_db = -sum(k * np.clip(t - a, 0.0, b - a)
+                    for k, a, b in zip(slopes, edges[:-1], edges[1:]))
+    x = 10.0 ** (level_db / 20.0)
+    if floor_db is not None:
+        rng = np.random.default_rng(seed)
+        x += 10.0 ** (floor_db / 20.0) * rng.standard_normal(x.size)
+    h = revkit.Waveform(np.concatenate((np.zeros(delay), x)))
+    p = acoustics.estimate_rt60(h)
+    assert (p.rt60, p.fit_start, p.fit_end, p.pearson_r) == \
+        brute_force_rt60(h, RATE, stride=16)
 
 
 def test_rt60_insufficient_decay():
@@ -126,7 +170,7 @@ def test_rt60_amplitude_invariance():
     from revkit import simulate
     h = simulate.synth_rir(simulate.SynthRirSpec(rt60=0.4, drr=3.0, seed=5))
     p1 = acoustics.estimate_rt60(h)
-    p2 = acoustics.estimate_rt60(revkit.Waveform(h.samples * 37.5, h.sample_rate))
+    p2 = acoustics.estimate_rt60(revkit.Waveform(h.samples * 37.5))
     assert np.isclose(p1.rt60, p2.rt60, rtol=1e-9)
     assert p1.fit_start == p2.fit_start
 
@@ -177,10 +221,9 @@ def test_drr_scale_and_delay_invariance():
     h = simulate.synth_rir(simulate.SynthRirSpec(rt60=0.4, drr=2.0, seed=6))
     base = acoustics.estimate_drr(h).drr
     delayed = acoustics.estimate_drr(
-        revkit.Waveform(np.concatenate([np.zeros(333), h.samples]),
-                        h.sample_rate)).drr
+        revkit.Waveform(np.concatenate([np.zeros(333), h.samples]))).drr
     for scale in (0.01, 1e-5):
         scaled = acoustics.estimate_drr(
-            revkit.Waveform(h.samples * scale, h.sample_rate)).drr
+            revkit.Waveform(h.samples * scale)).drr
         assert np.isclose(base, scaled, atol=1e-9)
     assert np.isclose(base, delayed, atol=1e-9)
