@@ -5,11 +5,12 @@ parses only the flags it reads. The engine commands (dereverb,
 identify-rir) take their settings from a flat key = value config file
 (``--config``) and from flags that win over the file; ``--dump-config``
 writes the effective configuration. A bad file, key or value exits with
-"invalid configuration: ..." before any output; so does an output whose
-directory is missing, or an input file that cannot be read or used, with
-one line naming it. ``simulate`` takes no config file: its grid, source
-and ``--seed`` flags are all it reads, and a bad number is a usage error.
-Runs are deterministic given inputs, config and seed.
+"invalid configuration: ..." before any output; so does an output path
+that is a directory or whose directory is missing, or an input file that
+cannot be read or used, with one line naming it. ``simulate`` takes no
+config file: its grid, source and ``--seed`` flags are all it reads, and a
+bad number is a usage error. Runs are deterministic given inputs, config
+and seed.
 """
 
 from __future__ import annotations
@@ -128,11 +129,14 @@ def _effective_config(args, **defaults) -> PipelineConfig:
     return cfg
 
 
-def _check_output_dirs(*paths) -> None:
-    """Exit with status 1 and one line if the directory of an output path
-    is missing, so a run that cannot write its results never starts."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+def _check_output_paths(*paths) -> None:
+    """Exit with status 1 and one line if an output path is a directory or
+    its directory is missing, so a run that cannot write its results never
+    starts."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise SystemExit(f"{path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise SystemExit(f"{path}: no such directory")
 
 
@@ -156,6 +160,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _manifest_path(args) -> Path:
+    return Path(str(args.output) + ".manifest.json")
+
+
 def _write_manifest(args, outputs, cfg, timings) -> None:
     """``<output>.manifest.json`` of a dereverb / identify-rir run."""
     inputs = [args.input, args.oracle or args.prior]
@@ -168,8 +176,7 @@ def _write_manifest(args, outputs, cfg, timings) -> None:
         "versions": {"revkit": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
     }
-    path = Path(str(args.output) + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(_manifest_path(args), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -231,8 +238,9 @@ def _run_vem(args, cfg: PipelineConfig, *outputs):
     command's own output paths besides the WAV, the trace and the dump.
     The engine sees the observation divided by its ``peak`` (1 for
     silence), the scale VPRI magnitudes refer to."""
-    _check_output_dirs(args.output, args.trace, *outputs,
-                       None if args.dump_config == "-" else args.dump_config)
+    _check_output_paths(args.output, _manifest_path(args), args.trace,
+                        *outputs,
+                        None if args.dump_config == "-" else args.dump_config)
     timings = {}
     t0 = time.perf_counter()
     with _reading(args.input):

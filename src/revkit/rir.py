@@ -17,6 +17,10 @@ support, (L - 1) * hop + win_length, plus 2 * win_length on each side of
 the origin SWEEP_LEN - 1, where the sweep meets its own time reversal.
 A filter tap is one hop at that same rate, so the estimate is a 16 kHz
 response by construction.
+
+At most two arrays the size of the sweep's spectrogram (~4.2 MB each) are
+live at once. The peak, ~11.6 MB, is in synthesis: the inverse filter, the
+filtered spectrogram and synthesis's frame and overlap-add buffers.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from numpy.fft import ifft
 
 from .stft import (RATE, Spectrogram, StftConfig, Waveform, _convolve,
                    forward, inverse)
-from .vem import CtfFilter, _fft_padded, _spectrum
+from .vem import _BAND_CHUNK, CtfFilter, _fft_padded, _spectrum
 
 SWEEP_F1 = 62.5       # Hz
 SWEEP_F2 = 8000.0     # Hz
@@ -120,28 +124,35 @@ def ctf_to_rir(H: CtfFilter,
 
     sweep = log_sweep()
     inv = inverse_filter(sweep)
-    E = forward(sweep, stft_cfg)
-    T = E.num_frames
+    E = forward(sweep, stft_cfg).data
+    del sweep
+    F, T = E.shape
 
     # Pseudo measurement: excitation frames filtered along time per band,
     # full length so the filter tail is retained. Guard frames of silence
     # keep all content inside the region of complete window overlap, where
     # synthesis is exact (edge frames are divided by a vanishing window
-    # sum and would blow up). The product is formed in place, as the sweep
-    # spectrum is the largest array of an identify-rir run.
+    # sum and would blow up). Y is built one block of bands at a time, so
+    # the only full-size arrays are E and Y, and E goes before synthesis.
     guard = stft_cfg.win_length // stft_cfg.hop
-    FY = _spectrum(E.data, L)
-    FY *= _fft_padded(h, FY.shape[1])
-    Y = np.pad(ifft(FY, out=FY)[:, : T + L - 1],
-               ((0, 0), (guard, guard)))
-    y = inverse(Spectrogram(Y, stft_cfg))
+    n = T + L - 1
+    Y = np.zeros((F, n + 2 * guard), dtype=np.complex128)
+    for a in range(0, F, _BAND_CHUNK):
+        rows = slice(a, a + _BAND_CHUNK)
+        FY = _spectrum(E[rows], L)
+        FY *= _fft_padded(h[rows], FY.shape[1])
+        Y[rows, guard: guard + n] = ifft(FY, out=FY)[:, :n]
+    del E
+    y = inverse(Spectrogram(Y, stft_cfg)).samples
+    del Y
 
-    full = _convolve(y.samples, inv.samples)
+    full = _convolve(y, inv.samples)
     origin = SWEEP_LEN - 1 + guard * stft_cfg.hop
 
     margin = 2 * stft_cfg.win_length
     support = (L - 1) * stft_cfg.hop + stft_cfg.win_length
-    cropped = full[origin - margin: origin + support + margin]
+    # a copy, so the returned waveform does not keep the whole convolution
+    cropped = full[origin - margin: origin + support + margin].copy()
 
     if not np.any(cropped):
         warnings.warn("all-zero filter produced an all-zero impulse response",

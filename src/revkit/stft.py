@@ -195,5 +195,7 @@ def inverse(spec: Spectrogram) -> Waveform:
     frames *= cfg.window
     acc = _overlap_add(frames, cfg.hop)
     wsum = _window_power(cfg, spec.num_frames)
-    out = np.divide(acc, wsum, out=np.zeros_like(acc), where=wsum > 1e-12)
-    return Waveform(out)
+    live = wsum > 1e-12
+    np.divide(acc, wsum, out=acc, where=live)
+    acc[~live] = 0.0
+    return Waveform(acc)

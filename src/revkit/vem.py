@@ -12,9 +12,11 @@ per-bin posterior updates which are blended with the previous iterate by
 an exponential moving average; the M-step solves per-band normal
 equations for the filter and a scalar update for the noise precision.
 Bands are fully independent, so everything is vectorized across rows and
-can be chunked over worker threads without changing any result. ``run``
-uses one thread unless told otherwise; the CLI gives it every CPU the
-process may run on.
+can be chunked over worker threads without changing any result; a band
+whose filter system is singular gets a larger jitter on its own, and
+``run`` warns with the number of such band updates. ``run`` uses one
+thread unless told otherwise; the CLI gives it every CPU the process may
+run on.
 
 Boundary convention: frame indices outside [0, T) contribute zero
 observation, zero mean and zero variance everywhere.
@@ -270,6 +272,23 @@ def _fit(G, b, x2, hv):
     return np.maximum(x2 - cross + quad, 0.0)
 
 
+def _solve_bandwise(Gjc, b, jit):
+    """The batched solve one band at a time, after it failed: only a band
+    whose own system is singular gets its jitter raised, so it cannot change
+    the others. Returns the taps and the number of such bands."""
+    idx = np.arange(Gjc.shape[1])
+    hv, n_warn = np.empty_like(b), 0
+    for f in range(b.shape[0]):
+        G, rhs = Gjc[f: f + 1], b[f: f + 1, :, None]
+        try:
+            hv[f] = np.linalg.solve(G, rhs)[0, :, 0]
+        except np.linalg.LinAlgError:
+            n_warn += 1
+            G[:, idx, idx] += 1e6 * jit[f] + 1e-12
+            hv[f] = np.linalg.solve(G, rhs)[0, :, 0]
+    return hv, n_warn
+
+
 def _m_step_arrays(x2, FX, mu, Fmu, gamma, L):
     """x2 is the ``_band_energy`` of the observation, FX and Fmu the
     ``_spectrum`` of it and of mu."""
@@ -286,9 +305,7 @@ def _m_step_arrays(x2, FX, mu, Fmu, gamma, L):
     try:
         hv = np.linalg.solve(Gjc, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        n_warn = 1
-        Gjc[:, idx, idx] += (1e6 * jit + 1e-12)[:, None]
-        hv = np.linalg.solve(Gjc, b[..., None])[..., 0]
+        hv, n_warn = _solve_bandwise(Gjc, b, jit)
 
     # Noise precision from the expected residual at the new filter.
     residual = _fit(G, b, x2, hv)

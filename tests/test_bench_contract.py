@@ -6,9 +6,11 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from revkit import acoustics, evaluate, prior, simulate, stft, vem, wavio
+from revkit import (acoustics, evaluate, prior, rir, simulate, stft, vem,
+                    wavio)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -58,3 +60,23 @@ def test_bench_call_shapes_bind(call, args, kwargs):
     # the calls bench/ makes outside cli.main, argument for argument; a
     # signature change would otherwise break `bench/run.py --trace 1` unseen
     inspect.signature(call).bind(*args, **kwargs)
+
+
+def test_ctf_to_rir_calls_its_steps_through_the_module(monkeypatch):
+    # bench/tracing.py times rir.log_sweep and rir.inverse_filter by
+    # replacing the module attributes; a call that bypasses them would
+    # leave those layer spans reading zero
+    calls = {"log_sweep": 0, "inverse_filter": 0}
+
+    def counting(name):
+        original = getattr(rir, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(rir, name, counting(name))
+    rir.ctf_to_rir(vem.CtfFilter(np.ones((257, 2), complex)))
+    assert calls == {"log_sweep": 1, "inverse_filter": 1}

@@ -572,6 +572,43 @@ def test_output_in_missing_directory_exits_before_the_engine(
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("dereverb", None),
+    ("dereverb", "manifest"),
+    ("dereverb", "--trace"),
+    ("dereverb", "--dump-config"),
+    ("identify-rir", None),
+    ("identify-rir", "manifest"),
+    ("identify-rir", "--params"),
+    ("identify-rir", "--ctf-csv"),
+    ("identify-rir", "--trace"),
+    ("identify-rir", "--dump-config"),
+], ids=["dereverb-output", "dereverb-manifest", "dereverb-trace",
+        "dereverb-dump-config", "identify-rir-output", "identify-rir-manifest",
+        "identify-rir-params", "identify-rir-ctf-csv", "identify-rir-trace",
+        "identify-rir-dump-config"])
+def test_output_that_is_a_directory_exits_before_any_input_is_read(
+        tmp_path, command, flag):
+    # the input is missing, so only a check made before it is read can end
+    # the run with this message
+    missing = tmp_path / "missing.wav"
+    out = tmp_path / "o.wav"
+    taken = {None: out, "manifest": tmp_path / "o.wav.manifest.json"}.get(
+        flag, tmp_path / "somedir")
+    taken.mkdir()
+    argv = [command, missing, out, "--oracle", missing]
+    if command == "identify-rir":
+        argv += ["--params",
+                 taken if flag == "--params" else tmp_path / "p.csv"]
+    if flag not in (None, "manifest", "--params"):
+        argv += [flag, taken]
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == f"{taken}: is a directory"
+    assert set(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("flag", [
     ["--rt60", "abc"], ["--rt60", "0"], ["--rt60", "-1"], ["--rt60", ","],
     ["--rt60", "0.5,inf"], ["--drr", "nan"], ["--drr", ""],

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import fftconvolve, hilbert
@@ -149,6 +151,47 @@ def test_crop_window_keeps_energy_of_compact_filters():
     x = rir.ctf_to_rir(CtfFilter(reflection_filter(4))).waveform.samples
     edges = np.sum(x[:512] ** 2) + np.sum(x[-512:] ** 2)
     assert edges / np.sum(x ** 2) < 0.01
+
+
+@pytest.mark.parametrize("L", [1, 5, 30])
+def test_reconstruction_equals_the_full_size_pipeline(L):
+    # ctf_to_rir filters one block of bands at a time; the same steps on
+    # whole arrays give the same bits. 257 bands leave a short last block.
+    rng = np.random.default_rng(L)
+    h = rng.standard_normal((257, L)) + 1j * rng.standard_normal((257, L))
+    h[:3] = 0.0
+    cfg = revkit.StftConfig()
+    sweep = rir.log_sweep()
+    E = stft.forward(sweep, cfg).data
+    n = E.shape[1] + L - 1
+    N = stft._next_fast_len(n)
+    Y = np.fft.ifft(np.fft.fft(E, N) * np.fft.fft(h, N))[:, :n]
+    guard = cfg.win_length // cfg.hop
+    Y = np.pad(Y, ((0, 0), (guard, guard)))
+    y = stft.inverse(stft.Spectrogram(Y, cfg)).samples
+    full = stft._convolve(y, rir.inverse_filter(sweep).samples)
+    origin = rir.SWEEP_LEN - 1 + guard * cfg.hop
+    want = full[origin - 2 * cfg.win_length:
+                origin + (L - 1) * cfg.hop + 3 * cfg.win_length]
+    got = rir.ctf_to_rir(CtfFilter(h), cfg).waveform.samples
+    np.testing.assert_array_equal(got, want)
+
+
+def test_reconstruction_memory_peak():
+    # arrays the size of the sweep's spectrogram (257 x 1021 complex,
+    # ~4.2 MB) are live two at a time at most: the sweep's and the filtered
+    # one while the latter is filled, then the filtered one and synthesis's
+    # frames. The peak reads 11.6 MB; one more such array would put it
+    # near 16 MB.
+    H = CtfFilter(np.ones((257, 30), complex))
+    rir.ctf_to_rir(H)  # first-call caches out of the measurement
+    tracemalloc.start()
+    try:
+        rir.ctf_to_rir(H)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak < 13.0
 
 
 def test_all_zero_filter_warns_and_returns_zeros():

@@ -369,6 +369,37 @@ def test_band_independence():
     assert np.array_equal(H1.h[100], H2.h[band_at])
 
 
+def test_singular_band_leaves_the_other_bands_bit_identical(monkeypatch):
+    # one band's first filter system is made to fail the solve; only that
+    # band may be re-solved with raised jitter, the others keep their bits
+    _, _, X = speechlike_tf_instance(17, F=33, T=80, L=5)
+    Xs = revkit.Spectrogram(X, revkit.StftConfig(64, 16))  # one band chunk
+    A = revkit.PriorPrecision(
+        np.random.default_rng(17).uniform(0.5, 2.0, X.shape))
+    cfg = vem.VemConfig(ctf_len=5, max_iters=10, skip_low_bands=0)
+    S0, H0, tr0 = vem.run(Xs, A, cfg)
+
+    solve, bad, target = np.linalg.solve, 10, []
+
+    def faulty(a, b):
+        if not target:  # the first call is the first M-step of all bands
+            target.append(a[bad].copy())
+        if any(np.array_equal(m, target[0]) for m in a):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", faulty)
+    with pytest.warns(RuntimeWarning,
+                      match=r"singular Gram matrix in 1 update\(s\)"):
+        S1, H1, tr1 = vem.run(Xs, A, cfg)
+    others = np.arange(X.shape[0]) != bad
+    assert np.array_equal(S1.data[others], S0.data[others])
+    assert np.array_equal(H1.h[others], H0.h[others])
+    assert np.array_equal(tr1[:, others], tr0[:, others])
+    assert not np.array_equal(H1.h[bad], H0.h[bad])
+    assert np.all(np.isfinite(tr1[:, bad]))
+
+
 def test_run_thread_count_does_not_change_results():
     rng = np.random.default_rng(16)
     F, T = 257, 50
