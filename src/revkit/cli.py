@@ -210,7 +210,7 @@ def _load_prior(args, observed: stft.Spectrogram,
     with _reading(args.prior):
         mag = prior.load_prior_file(args.prior)
         if mag.shape != observed.data.shape:
-            raise SystemExit(
+            raise ValueError(
                 f"prior file is {mag.shape[0]} x {mag.shape[1]}, observation "
                 f"is {observed.data.shape[0]} x {observed.data.shape[1]}"
             )
@@ -246,7 +246,7 @@ def _run_vem(args, cfg: PipelineConfig, *outputs):
     with _reading(args.input):
         x = wavio.read_wav(args.input)
         peak = float(np.max(np.abs(x.samples))) or 1.0
-        X = stft.forward(stft.Waveform(x.samples / peak), cfg.stft)
+        X = stft.forward(stft.Waveform(x.samples / peak))
     timings["analysis"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -271,7 +271,7 @@ def cmd_dereverb(args) -> int:
     # The posterior is not a consistent spectrogram, so inverse's division
     # by the vanishing window power amplifies the first and last window
     # into a click; fade where that power is below half its maximum.
-    wsum = stft._window_power(S_hat.config, S_hat.num_frames)
+    wsum = stft._window_power(S_hat.num_frames)
     fade = np.minimum(1.0, wsum / (0.5 * np.max(wsum)))
     wavio.write_wav(args.output, stft.Waveform(out.samples * peak * fade))
     timings["synthesis"] = time.perf_counter() - t0
@@ -285,7 +285,7 @@ def cmd_identify_rir(args) -> int:
     _, H_hat, _, timings = _run_vem(args, cfg, args.params, args.ctf_csv)
 
     t0 = time.perf_counter()
-    est = rir.ctf_to_rir(H_hat, cfg.stft)
+    est = rir.ctf_to_rir(H_hat)
     wavio.write_wav(args.output, est.waveform)
     timings["reconstruction"] = time.perf_counter() - t0
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .stft import StftConfig
 from .vem import VemConfig
 
 
@@ -28,7 +27,6 @@ def _available_cpus() -> int:
 class PipelineConfig:
     """Everything that determines an engine run besides the input files."""
 
-    stft: StftConfig = field(default_factory=StftConfig)
     vem: VemConfig = field(default_factory=VemConfig)
     threads: int = field(default_factory=_available_cpus)
 
@@ -40,8 +38,6 @@ class PipelineConfig:
 # key in the file -> (part of PipelineConfig, field, parser); part None is
 # the PipelineConfig itself. The order is the order of a dump.
 KEYS = {
-    "win_length": ("stft", "win_length", int),
-    "hop": ("stft", "hop", int),
     "ctf_len": ("vem", "ctf_len", int),
     "lambda": ("vem", "ema", float),
     "max_iters": ("vem", "max_iters", int),
@@ -71,12 +67,11 @@ def parse_config(text: str) -> dict:
 
 def build_config(values: dict) -> PipelineConfig:
     """The validated configuration for {key: value}; absent keys default."""
-    parts = {"stft": {}, "vem": {}, None: {}}
+    parts = {"vem": {}, None: {}}
     for key, value in values.items():
         part, name, _ = KEYS[key]
         parts[part][name] = value
-    return PipelineConfig(stft=StftConfig(**parts["stft"]),
-                          vem=VemConfig(**parts["vem"]), **parts[None])
+    return PipelineConfig(vem=VemConfig(**parts["vem"]), **parts[None])
 
 
 def config_values(cfg: PipelineConfig) -> dict:

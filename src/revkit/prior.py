@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import StftConfig, Waveform, forward
+from .stft import TRANSFORM, Waveform, forward
 
 # Numerical guard, not a model parameter: every precision, here and in the
 # engine, is 1 / max(power, POWER_FLOOR), so a silent bin's stays finite.
@@ -58,18 +58,22 @@ def from_magnitude(mag: np.ndarray) -> PriorPrecision:
     return PriorPrecision(1.0 / np.maximum(mag ** 2, POWER_FLOOR))
 
 
-def oracle_from_reference(clean: Waveform, cfg: StftConfig,
+def oracle_from_reference(clean: Waveform, transform: tuple[int, int],
                           expected_frames: int) -> PriorPrecision:
     """Ideal precision from an aligned direct-path reference waveform.
 
     The reference is analyzed as given, so it must be on the observation's
-    scale (the CLI divides both by the observation's peak), with the
-    transform ``cfg``; the precision is 1/|S|^2 (floored). It may differ
-    from the observation's ``expected_frames`` by at most one frame; |S| is
-    cropped or zero-padded (silence has floor-level power, so padded frames
-    get maximal precision).
+    scale (the CLI divides both by the observation's peak); the precision
+    is 1/|S|^2 (floored). It may differ from the observation's
+    ``expected_frames`` by at most one frame; |S| is cropped or zero-padded
+    (silence has floor-level power, so padded frames get maximal
+    precision). ``transform`` must be ``stft.TRANSFORM``, the value of the
+    observation's ``Spectrogram.config``: revkit has one transform.
     """
-    mag = np.abs(forward(clean, cfg).data)
+    if transform != TRANSFORM:
+        raise ValueError(
+            f"transform must be {TRANSFORM} (the only one), got {transform!r}")
+    mag = np.abs(forward(clean).data)
     T = mag.shape[1]
     if abs(T - expected_frames) > 1:
         raise ValueError(

@@ -13,8 +13,8 @@ from inference at zero, so nothing here needs to know which they were.
 
 The sweep is fixed (62.5 Hz to 8 kHz over 8.192 s at ``stft.RATE``, with
 256- and 128-sample fades), and so is the crop: the filter's time
-support, (L - 1) * hop + win_length, plus 2 * win_length on each side of
-the origin SWEEP_LEN - 1, where the sweep meets its own time reversal.
+support, (L - 1) * HOP + WIN, plus 2 * WIN on each side of the origin
+SWEEP_LEN - 1, where the sweep meets its own time reversal.
 A filter tap is one hop at that same rate, so the estimate is a 16 kHz
 response by construction.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.fft import ifft
 
-from .stft import (RATE, Spectrogram, StftConfig, Waveform, _convolve,
+from .stft import (BINS, HOP, RATE, WIN, Spectrogram, Waveform, _convolve,
                    forward, inverse)
 from .vem import _BAND_CHUNK, CtfFilter, _fft_padded, _spectrum
 
@@ -91,40 +91,25 @@ def delta_position(sweep: Waveform, inv: Waveform) -> int:
     return int(np.argmax(np.abs(_convolve(sweep.samples, inv.samples))))
 
 
-def ctf_to_rir(H: CtfFilter,
-               stft_cfg: StftConfig | None = None) -> RirEstimate:
-    """Reconstruct an impulse-response waveform from subband filter taps.
+def ctf_to_rir(H: CtfFilter) -> RirEstimate:
+    """Reconstruct an impulse-response waveform from (BINS, L) subband
+    filter taps.
 
     Every band of ``H`` is used as given; a zero row (such as a band the
-    engine excluded from inference) adds nothing to the estimate.
-
-    Parameters
-    ----------
-    H : CtfFilter
-        (F, L) taps; F must match the transform's bin count.
-    stft_cfg : StftConfig, optional
-        Transform settings (default transform).
-
-    Returns
-    -------
-    RirEstimate
-        Waveform of length (L - 1) * hop + 5 * win_length: the filter's
-        time support plus 2 * win_length on each side, with the detected
-        direct-path peak index.
+    engine excluded from inference) adds nothing to the estimate. The
+    waveform is (L - 1) * HOP + 5 * WIN samples long: the filter's time
+    support plus 2 * WIN on each side, and the estimate carries the index
+    of its direct-path peak.
     """
-    if stft_cfg is None:
-        stft_cfg = StftConfig()
     h = H.h
-    if h.shape[0] != stft_cfg.num_bins:
+    if h.shape[0] != BINS:
         raise ValueError(
-            f"filter has {h.shape[0]} bands, transform expects "
-            f"{stft_cfg.num_bins}"
-        )
+            f"filter has {h.shape[0]} bands, transform expects {BINS}")
     L = H.num_taps
 
     sweep = log_sweep()
     inv = inverse_filter(sweep)
-    E = forward(sweep, stft_cfg).data
+    E = forward(sweep).data
     del sweep
     F, T = E.shape
 
@@ -134,7 +119,7 @@ def ctf_to_rir(H: CtfFilter,
     # synthesis is exact (edge frames are divided by a vanishing window
     # sum and would blow up). Y is built one block of bands at a time, so
     # the only full-size arrays are E and Y, and E goes before synthesis.
-    guard = stft_cfg.win_length // stft_cfg.hop
+    guard = WIN // HOP
     n = T + L - 1
     Y = np.zeros((F, n + 2 * guard), dtype=np.complex128)
     for a in range(0, F, _BAND_CHUNK):
@@ -143,14 +128,14 @@ def ctf_to_rir(H: CtfFilter,
         FY *= _fft_padded(h[rows], FY.shape[1])
         Y[rows, guard: guard + n] = ifft(FY, out=FY)[:, :n]
     del E
-    y = inverse(Spectrogram(Y, stft_cfg)).samples
+    y = inverse(Spectrogram(Y)).samples
     del Y
 
     full = _convolve(y, inv.samples)
-    origin = SWEEP_LEN - 1 + guard * stft_cfg.hop
+    origin = SWEEP_LEN - 1 + guard * HOP
 
-    margin = 2 * stft_cfg.win_length
-    support = (L - 1) * stft_cfg.hop + stft_cfg.win_length
+    margin = 2 * WIN
+    support = (L - 1) * HOP + WIN
     # a copy, so the returned waveform does not keep the whole convolution
     cropped = full[origin - margin: origin + support + margin].copy()
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import RATE, Waveform, _convolve
+from .acoustics import DRR_DIRECT_S
+from .stft import RATE, Waveform, _check_rate, _convolve
 
 DIRECT_DELAY = 160  # samples before the direct-path impulse
 
@@ -62,7 +63,8 @@ def synth_rir(spec: SynthRirSpec) -> Waveform:
     seconds, long enough to decay 60 dB.
     """
     rng = np.random.default_rng(spec.seed)
-    tail_start = DIRECT_DELAY + int(round(0.0025 * RATE)) + 1
+    # the tail starts just past the window that estimate_drr counts as direct
+    tail_start = DIRECT_DELAY + int(round(DRR_DIRECT_S * RATE)) + 1
     h = np.zeros(tail_start + int(round(spec.rt60 * RATE)))
     h[DIRECT_DELAY] = 1.0
 
@@ -147,6 +149,7 @@ def speech_like(duration: float, fs: int, seed: int = 0) -> Waveform:
     The gaps matter: reverberation decaying into them is what makes a
     room filter identifiable from a recording. ``fs`` must be RATE, the
     rate the highpass is designed for."""
+    _check_rate(fs)
     rng = np.random.default_rng(seed)
     n = int(round(duration * RATE))
     if n < 1:
@@ -164,7 +167,7 @@ def speech_like(duration: float, fs: int, seed: int = 0) -> Waveform:
         env[pos: pos + gap] = 0.0
         pos += gap + int(rng.uniform(0.25, 0.45) * RATE)
     out = x * env
-    return Waveform(out / np.max(np.abs(out)), fs)
+    return Waveform(out / np.max(np.abs(out)))
 
 
 def direct_path_reference(clean: Waveform, rir: Waveform) -> Waveform:

@@ -1,16 +1,19 @@
 """STFT analysis/synthesis with perfect reconstruction on the overlapped interior.
 
-Framing is left-aligned with no centering: frame t covers samples
-[t*hop, t*hop + win_length). One frame step therefore equals exactly one
-hop of time-domain delay, which keeps subband filter taps interpretable
-as integer-hop delays. Samples past the last full frame are not analyzed.
+revkit has one transform: a WIN = 512-sample periodic Hann window moved
+HOP = 128 samples per frame, giving BINS = 257 frequency bins. Framing is
+left-aligned with no centering: frame t covers samples [t*HOP, t*HOP + WIN).
+One frame step therefore equals exactly one hop of time-domain delay, which
+keeps subband filter taps interpretable as integer-hop delays. Samples past
+the last full frame are not analyzed.
 
 Both transforms are linear and keep the waveform's scale: any
 normalization is the caller's (the CLI divides by the observation's peak).
 
 revkit works at one sample rate, RATE = 16 kHz: a subband filter tap is one
-hop of time at that rate, and the impulse-response reconstruction and the
-RT60/DRR read-out count seconds in its samples. No object carries a rate.
+hop of time at that rate (8 ms), and the impulse-response reconstruction and
+the RT60/DRR read-out count seconds in its samples. No object carries a rate
+or a transform.
 """
 
 from __future__ import annotations
@@ -24,6 +27,19 @@ from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 RATE = 16000  # Hz, the one sample rate of every waveform
+WIN = 512     # samples per analysis/synthesis window (32 ms)
+HOP = 128     # samples per frame step, and per subband filter tap (8 ms)
+BINS = WIN // 2 + 1  # frequency bins of a spectrogram
+# 0.5 - 0.5 cos(2 pi n / WIN), n = 0..WIN-1, in the form that matches
+# scipy.signal.get_window("hann", WIN, fftbins=True) bit for bit
+WINDOW = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, WIN + 1))[:-1]
+WINDOW.flags.writeable = False
+TRANSFORM = (WIN, HOP)  # names the one transform: ``Spectrogram.config``
+
+
+def _check_rate(fs: int) -> None:
+    if fs != RATE:
+        raise ValueError(f"revkit works at 16 kHz only, got {fs} Hz")
 
 
 @dataclass
@@ -35,9 +51,7 @@ class Waveform:
     sample_rate: InitVar[int] = RATE
 
     def __post_init__(self, sample_rate):
-        if sample_rate != RATE:
-            raise ValueError(
-                f"revkit works at 16 kHz only, got {sample_rate} Hz")
+        _check_rate(sample_rate)
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ValueError("waveform must be one-dimensional (mono)")
@@ -48,85 +62,47 @@ class Waveform:
 
 
 @dataclass
-class StftConfig:
-    """Analysis/synthesis parameters. Both windows are periodic Hann."""
-
-    win_length: int = 512
-    hop: int = 128
-
-    def __post_init__(self):
-        if self.win_length < 2 or self.hop < 1:
-            raise ValueError("win_length must be >= 2 and hop >= 1")
-        if self.win_length % self.hop != 0:
-            raise ValueError("hop must divide win_length")
-
-    @property
-    def window(self) -> np.ndarray:
-        # 0.5 - 0.5 cos(2 pi n / N), n = 0..N-1, in the form that matches
-        # scipy.signal.get_window("hann", N, fftbins=True) bit for bit
-        n = self.win_length
-        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1))[:-1]
-
-    @property
-    def num_bins(self) -> int:
-        return self.win_length // 2 + 1
-
-
-@dataclass
 class Spectrogram:
     """Complex half-spectrum matrix, frequency bins (rows) x frames (cols)."""
 
     data: np.ndarray
-    config: StftConfig
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
         if self.data.ndim != 2:
             raise ValueError("spectrogram data must be 2-D")
-        if self.data.shape[0] != self.config.num_bins:
+        if self.data.shape[0] != BINS:
             raise ValueError(
-                f"expected {self.config.num_bins} frequency bins, "
-                f"got {self.data.shape[0]}"
-            )
+                f"expected {BINS} frequency bins, got {self.data.shape[0]}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("spectrogram contains non-finite values")
+
+    @property
+    def config(self) -> tuple[int, int]:
+        """TRANSFORM, the one transform every spectrogram is on."""
+        return TRANSFORM
 
     @property
     def num_frames(self) -> int:
         return self.data.shape[1]
 
 
-def num_frames(num_samples: int, cfg: StftConfig) -> int:
-    """Frame count for left-aligned analysis: 1 + floor((N - win) / hop)."""
-    if num_samples < cfg.win_length:
+def num_frames(num_samples: int) -> int:
+    """Frame count for left-aligned analysis: 1 + floor((N - WIN) / HOP)."""
+    if num_samples < WIN:
         raise ValueError(
-            f"input too short: {num_samples} samples < one window "
-            f"({cfg.win_length})"
-        )
-    return 1 + (num_samples - cfg.win_length) // cfg.hop
+            f"input too short: {num_samples} samples < one window ({WIN})")
+    return 1 + (num_samples - WIN) // HOP
 
 
-def forward(wave: Waveform, cfg: StftConfig | None = None) -> Spectrogram:
-    """Analyze a waveform, as given, into a complex spectrogram.
-
-    Parameters
-    ----------
-    wave : Waveform
-        Input signal; must be at least one window long.
-    cfg : StftConfig, optional
-        Transform configuration (512/128 Hann by default).
-
-    Returns
-    -------
-    Spectrogram with shape (win_length // 2 + 1, num_frames).
-    """
-    if cfg is None:
-        cfg = StftConfig()
+def forward(wave: Waveform) -> Spectrogram:
+    """Analyze a waveform, as given, into a (BINS, num_frames) complex
+    spectrogram; the waveform must be at least one window long."""
     x = wave.samples
-    T = num_frames(x.size, cfg)
-    frames = sliding_window_view(x, cfg.win_length)[:: cfg.hop][:T]
-    spec = np.fft.rfft(frames * cfg.window, n=cfg.win_length, axis=1)
-    return Spectrogram(spec.T, cfg)
+    T = num_frames(x.size)
+    frames = sliding_window_view(x, WIN)[::HOP][:T]
+    spec = np.fft.rfft(frames * WINDOW, n=WIN, axis=1)
+    return Spectrogram(spec.T)
 
 
 @cache
@@ -162,39 +138,37 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return irfft(rfft(a, m) * rfft(b, m), m)[:n]
 
 
-def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
-    """Sum (T, win) frames placed ``hop`` apart; length (T - 1) * hop + win.
+def _overlap_add(frames: np.ndarray) -> np.ndarray:
+    """Sum (T, WIN) frames placed HOP apart; length (T - 1) * HOP + WIN.
 
     Works one hop-sized block shift at a time, largest shift first, so
     every output sample adds its frames in ascending frame order.
     """
-    T, win = frames.shape
-    shifts = win // hop
-    blocks = frames.reshape(T, shifts, hop)
-    acc = np.zeros((T - 1 + shifts, hop))
+    T = frames.shape[0]
+    shifts = WIN // HOP
+    blocks = frames.reshape(T, shifts, HOP)
+    acc = np.zeros((T - 1 + shifts, HOP))
     for m in range(shifts - 1, -1, -1):
         acc[m: m + T] += blocks[:, m]
     return acc.reshape(-1)
 
 
-def _window_power(cfg: StftConfig, T: int) -> np.ndarray:
+def _window_power(T: int) -> np.ndarray:
     """Overlap-added squared window of T frames: the divisor of ``inverse``,
     which vanishes towards the first and last sample."""
-    w2 = np.broadcast_to(cfg.window ** 2, (T, cfg.win_length))
-    return _overlap_add(w2, cfg.hop)
+    return _overlap_add(np.broadcast_to(WINDOW ** 2, (T, WIN)))
 
 
 def inverse(spec: Spectrogram) -> Waveform:
     """Weighted overlap-add synthesis: the least-squares inverse of ``forward``.
 
-    Output length is (T - 1) * hop + win_length. Samples where the
-    overlap-added window power vanishes (the very signal edges) are zero.
+    Output length is (T - 1) * HOP + WIN. Samples where the overlap-added
+    window power vanishes (the very signal edges) are zero.
     """
-    cfg = spec.config
-    frames = np.fft.irfft(spec.data.T, n=cfg.win_length, axis=1)
-    frames *= cfg.window
-    acc = _overlap_add(frames, cfg.hop)
-    wsum = _window_power(cfg, spec.num_frames)
+    frames = np.fft.irfft(spec.data.T, n=WIN, axis=1)
+    frames *= WINDOW
+    acc = _overlap_add(frames)
+    wsum = _window_power(spec.num_frames)
     live = wsum > 1e-12
     np.divide(acc, wsum, out=acc, where=live)
     acc[~live] = 0.0

@@ -107,13 +107,13 @@ class Posterior:
 class VemConfig:
     """Engine settings.
 
-    ctf_len : filter length L in frames.
+    ctf_len : filter length L in frames of 8 ms (30: 240 ms).
     ema : smoothing factor in [0, 1); 0 applies raw updates, values near 1
         change the posterior very slowly.
     max_iters : number of EM iterations.
-    skip_low_bands : lowest bands excluded from inference (their output
-        spectrum and filter rows are zero; speech has no content down
-        there and the SNR is hopeless).
+    skip_low_bands : lowest bands excluded from inference (3: those below
+        94 Hz; their output spectrum and filter rows are zero; speech has
+        no content down there and the SNR is hopeless).
 
     The numerical guards are the module constants ``DELTA_CAP``,
     ``JITTER`` and ``prior.POWER_FLOOR``.
@@ -475,5 +475,5 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
             RuntimeWarning,
         )
 
-    S_hat = Spectrogram(S, X.config)
+    S_hat = Spectrogram(S)
     return S_hat, CtfFilter(H), trace

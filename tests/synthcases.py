@@ -2,15 +2,7 @@
 
 import numpy as np
 
-import revkit
-from revkit import simulate, stft
-
-
-def tf_spectrogram(data):
-    """Wrap an F x T complex matrix whose F matches the 512/128 transform."""
-    cfg = revkit.StftConfig(512, 128)
-    assert data.shape[0] == cfg.num_bins
-    return revkit.Spectrogram(data, cfg)
+from revkit import simulate
 
 
 def speechlike_tf_instance(seed, F=257, T=400, L=8, snr_db=30.0,

@@ -83,16 +83,17 @@ def test_dereverb_requires_exactly_one_prior_source(identity_case, tmp_path):
 def test_dereverb_rejects_mismatched_prior(identity_case, tmp_path):
     bad = tmp_path / "bad.vpri"
     prior.save_prior_file(bad, np.ones((257, 5)))
-    with pytest.raises(SystemExit, match="prior file"):
+    with pytest.raises(SystemExit, match="prior file") as exc:
         run_cli("dereverb", identity_case, tmp_path / "o.wav", "--prior", bad)
+    assert str(exc.value) == (f"{bad}: prior file is 257 x 5, observation "
+                              "is 257 x 147")
 
 
 def test_prior_file_equivalent_to_oracle(tmp_path, identity_case):
     # a VPRI file holding the oracle magnitudes drives the engine to the
     # same place (up to the file format's float32 quantization)
     wave = wavio.read_wav(identity_case)
-    X = stft.forward(wave)
-    mag = np.abs(stft.forward(wave, X.config).data)
+    mag = np.abs(stft.forward(wave).data)
     vpri = tmp_path / "p.vpri"
     prior.save_prior_file(vpri, mag)
 
@@ -127,11 +128,9 @@ def test_oracle_prior_is_on_the_observation_scale(tmp_path, bench_dereverb):
     d = bench_dereverb
     x = wavio.read_wav(d / "reverb.wav").samples
     ref = wavio.read_wav(d / "direct.wav").samples / np.max(np.abs(x))
-    cfg = revkit.StftConfig()
-    frames = np.lib.stride_tricks.sliding_window_view(
-        ref, cfg.win_length)[:: cfg.hop]
+    frames = np.lib.stride_tricks.sliding_window_view(ref, 512)[::128]
     prior.save_prior_file(tmp_path / "p.vpri",
-                          np.abs(np.fft.rfft(frames * cfg.window)).T)
+                          np.abs(np.fft.rfft(frames * stft.WINDOW)).T)
     out = tmp_path / "prior.wav"
     assert run_cli("dereverb", d / "reverb.wav", out,
                    "--prior", tmp_path / "p.vpri") == 0
@@ -235,9 +234,11 @@ def test_trace_csv(tmp_path, identity_case):
     ("", ["--config", "no-such-dir/run.cfg"], "no-such-dir/run.cfg"),
     ("jitter = 1e-6\n", [], "unknown key 'jitter'"),
     ("seed = 0\n", [], "unknown key 'seed'"),
+    ("win_length = 512\n", [],
+     "invalid configuration: line 1: unknown key 'win_length'"),
 ], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file",
         "bad-value-file", "unknown-key-file", "missing-file",
-        "numerical-guard-file", "seed-file"])
+        "numerical-guard-file", "seed-file", "win-length-file"])
 def test_invalid_config_value_exits_before_any_output(tmp_path, identity_case,
                                                       file_text, flags, key):
     cfg_path = tmp_path / "run.cfg"
@@ -685,12 +686,10 @@ def test_config_keys_cover_every_setting():
     targets = {(part, name) for part, name, _ in KEYS.values()}
     assert len(targets) == len(KEYS)
     assert targets == (
-        {("stft", f.name) for f in fields(revkit.StftConfig)}
-        | {("vem", f.name) for f in fields(revkit.VemConfig)}
+        {("vem", f.name) for f in fields(revkit.VemConfig)}
         | {(None, "threads")}
     )
-    assert {f.name for f in fields(PipelineConfig)} == {
-        "stft", "vem", "threads"}
+    assert {f.name for f in fields(PipelineConfig)} == {"vem", "threads"}
 
 
 @pytest.mark.parametrize("command, flag", [

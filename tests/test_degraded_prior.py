@@ -66,7 +66,7 @@ def identify(X, mag):
     """Engine run on prior magnitudes ``mag``; the outputs and the RIR."""
     S_hat, H_hat, trace = vem.run(X, prior.from_magnitude(mag), CFG,
                                   threads=2)
-    return S_hat, H_hat, trace, rir.ctf_to_rir(H_hat, X.config)
+    return S_hat, H_hat, trace, rir.ctf_to_rir(H_hat)
 
 
 def parameter_errors(case, name):

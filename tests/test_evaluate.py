@@ -3,7 +3,6 @@ import pytest
 
 import revkit
 from revkit import evaluate
-from synthcases import tf_spectrogram
 
 
 def params(rt60, drr):
@@ -65,7 +64,7 @@ def random_pair(seed):
         1j * rng.uniform(-np.pi, np.pi, (257, 12)))
     b = rng.uniform(0.01, 2.0, (257, 12)) * np.exp(
         1j * rng.uniform(-np.pi, np.pi, (257, 12)))
-    return tf_spectrogram(a), tf_spectrogram(b)
+    return revkit.Spectrogram(a), revkit.Spectrogram(b)
 
 
 def test_lsd_identical_is_zero():
@@ -76,7 +75,7 @@ def test_lsd_identical_is_zero():
 def test_lsd_constant_magnitude_offset():
     # power matching takes out a constant magnitude offset entirely
     a, _ = random_pair(1)
-    scaled = tf_spectrogram(10.0 * a.data)
+    scaled = revkit.Spectrogram(10.0 * a.data)
     val = evaluate.lsd(scaled, a)
     assert abs(val) < 1e-5
 
@@ -104,11 +103,11 @@ def test_lsd_symmetry_and_phase_invariance():
     # symmetric when both sides carry the same power, so that power
     # matching leaves either side as it is
     a, b = random_pair(3)
-    b = tf_spectrogram(b.data * np.sqrt(np.sum(np.abs(a.data) ** 2)
+    b = revkit.Spectrogram(b.data * np.sqrt(np.sum(np.abs(a.data) ** 2)
                                         / np.sum(np.abs(b.data) ** 2)))
     assert np.isclose(evaluate.lsd(a, b), evaluate.lsd(b, a), rtol=1e-12)
     rng = np.random.default_rng(4)
-    rotated = tf_spectrogram(
+    rotated = revkit.Spectrogram(
         a.data * np.exp(1j * rng.uniform(-np.pi, np.pi, a.data.shape)))
     assert np.isclose(evaluate.lsd(a, b), evaluate.lsd(rotated, b),
                       rtol=1e-12)
@@ -116,12 +115,12 @@ def test_lsd_symmetry_and_phase_invariance():
 
 def test_lsd_power_match_removes_global_scale():
     a, b = random_pair(5)
-    scaled = tf_spectrogram(3.7 * a.data)
+    scaled = revkit.Spectrogram(3.7 * a.data)
     assert np.isclose(evaluate.lsd(scaled, b), evaluate.lsd(a, b), rtol=1e-9)
 
 
 def test_lsd_shape_mismatch():
     a, _ = random_pair(6)
-    small = tf_spectrogram(a.data[:, :5])
+    small = revkit.Spectrogram(a.data[:, :5])
     with pytest.raises(ValueError, match="shape"):
         evaluate.lsd(a, small)

@@ -66,9 +66,8 @@ def test_oracle_direct_path_scaling():
     delayed = revkit.Waveform(
         0.5 * np.concatenate([np.zeros(64), clean.samples[:-64]]), 16000
     )
-    cfg = revkit.StftConfig()
-    spec = stft.forward(delayed, cfg)
-    p = prior.oracle_from_reference(delayed, cfg, spec.num_frames)
+    spec = stft.forward(delayed)
+    p = prior.oracle_from_reference(delayed, spec.config, spec.num_frames)
     mag = np.abs(spec.data)
     np.testing.assert_allclose(p.alpha, 1.0 / np.maximum(mag ** 2, prior.POWER_FLOOR),
                                rtol=1e-12)
@@ -83,14 +82,31 @@ def test_oracle_silent_reference():
 
 def test_oracle_frame_mismatch():
     rng = np.random.default_rng(5)
-    cfg = revkit.StftConfig()
     ref = revkit.Waveform(rng.standard_normal(8000), 16000)
-    T = stft.forward(ref, cfg).num_frames
+    T = stft.forward(ref).num_frames
     # one frame off is tolerated (padded with max-precision frames)
-    p = prior.oracle_from_reference(ref, cfg, expected_frames=T + 1)
+    p = prior.oracle_from_reference(ref, stft.TRANSFORM, expected_frames=T + 1)
     assert p.shape == (257, T + 1)
     with pytest.raises(ValueError, match="mismatch"):
-        prior.oracle_from_reference(ref, cfg, expected_frames=T + 2)
+        prior.oracle_from_reference(ref, stft.TRANSFORM,
+                                    expected_frames=T + 2)
+
+
+@pytest.mark.parametrize("transform", [(256, 64), (512, 512), None, "512/128"])
+def test_oracle_takes_the_spectrogram_config_and_nothing_else(transform):
+    # bench/tracing.py passes the observation's Spectrogram.config as the
+    # second argument; it names the one transform, and any other value
+    # is refused rather than ignored
+    rng = np.random.default_rng(8)
+    w = revkit.Waveform(rng.standard_normal(8000), 16000)
+    X = stft.forward(w)
+    p = prior.oracle_from_reference(w, stft.forward(w).config,
+                                    expected_frames=X.num_frames)
+    np.testing.assert_array_equal(
+        p.alpha, 1.0 / np.maximum(np.abs(X.data) ** 2, prior.POWER_FLOOR))
+    with pytest.raises(ValueError, match="transform must be"):
+        prior.oracle_from_reference(w, transform,
+                                    expected_frames=X.num_frames)
 
 
 def test_vpri_round_trip(tmp_path):

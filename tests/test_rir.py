@@ -90,8 +90,8 @@ def test_linearity_in_filter():
     h = (rng.standard_normal((257, 8)) + 1j * rng.standard_normal((257, 8)))
     h *= 0.3
     h[:, 0] += 1.0
-    est1 = rir.ctf_to_rir(CtfFilter(h), revkit.StftConfig())
-    est2 = rir.ctf_to_rir(CtfFilter(2.5 * h), revkit.StftConfig())
+    est1 = rir.ctf_to_rir(CtfFilter(h))
+    est2 = rir.ctf_to_rir(CtfFilter(2.5 * h))
     np.testing.assert_allclose(est2.waveform.samples,
                                2.5 * est1.waveform.samples, atol=1e-12)
 
@@ -116,8 +116,8 @@ def test_engine_output_reconstructs_without_re_deriving_skipped_bands():
     _, H, _ = vem.run(X, alpha, vem.VemConfig(max_iters=5, skip_low_bands=5))
     h = H.h.copy()
     h[:5] = 0.0
-    got = rir.ctf_to_rir(H, X.config)
-    want = rir.ctf_to_rir(CtfFilter(h), X.config)
+    got = rir.ctf_to_rir(H)
+    want = rir.ctf_to_rir(CtfFilter(h))
     np.testing.assert_array_equal(got.waveform.samples, want.waveform.samples)
     assert got.direct_index == want.direct_index
 
@@ -138,11 +138,9 @@ def reflection_filter(seed, F=257, L=12, n_refl=6):
 
 @pytest.mark.parametrize("L", [30, 5])
 def test_estimate_length_is_support_plus_margins(L):
-    # the filter's time support plus 2 * win_length on each side
-    cfgS = revkit.StftConfig()
-    est = rir.ctf_to_rir(identity_filter(L=L), cfgS)
-    assert est.waveform.samples.size == ((L - 1) * cfgS.hop
-                                         + 5 * cfgS.win_length)
+    # the filter's time support plus 2 * WIN on each side
+    est = rir.ctf_to_rir(identity_filter(L=L))
+    assert est.waveform.samples.size == (L - 1) * stft.HOP + 5 * stft.WIN
 
 
 def test_crop_window_keeps_energy_of_compact_filters():
@@ -160,20 +158,19 @@ def test_reconstruction_equals_the_full_size_pipeline(L):
     rng = np.random.default_rng(L)
     h = rng.standard_normal((257, L)) + 1j * rng.standard_normal((257, L))
     h[:3] = 0.0
-    cfg = revkit.StftConfig()
     sweep = rir.log_sweep()
-    E = stft.forward(sweep, cfg).data
+    E = stft.forward(sweep).data
     n = E.shape[1] + L - 1
     N = stft._next_fast_len(n)
     Y = np.fft.ifft(np.fft.fft(E, N) * np.fft.fft(h, N))[:, :n]
-    guard = cfg.win_length // cfg.hop
+    guard = stft.WIN // stft.HOP
     Y = np.pad(Y, ((0, 0), (guard, guard)))
-    y = stft.inverse(stft.Spectrogram(Y, cfg)).samples
+    y = stft.inverse(stft.Spectrogram(Y)).samples
     full = stft._convolve(y, rir.inverse_filter(sweep).samples)
-    origin = rir.SWEEP_LEN - 1 + guard * cfg.hop
-    want = full[origin - 2 * cfg.win_length:
-                origin + (L - 1) * cfg.hop + 3 * cfg.win_length]
-    got = rir.ctf_to_rir(CtfFilter(h), cfg).waveform.samples
+    origin = rir.SWEEP_LEN - 1 + guard * stft.HOP
+    want = full[origin - 2 * stft.WIN:
+                origin + (L - 1) * stft.HOP + 3 * stft.WIN]
+    got = rir.ctf_to_rir(CtfFilter(h)).waveform.samples
     np.testing.assert_array_equal(got, want)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import revkit
-from revkit import acoustics, simulate
+from revkit import acoustics, simulate, stft
 
 
 def test_synth_rir_cap_level_drr_is_pure_impulse():
@@ -109,11 +109,25 @@ def test_speech_like_shape_and_gaps():
     assert fp.min() < 1e-4 * fp.max()
 
 
-def test_speech_like_rejects_durations_without_samples_and_other_rates():
+def test_speech_like_rejects_durations_without_samples_and_other_rates(
+        monkeypatch):
+    # both are rejected before any noise is synthesized
+    def unreachable(*args):
+        raise AssertionError("speech_like filtered noise before checking")
+    monkeypatch.setattr(simulate, "_lfilter", unreachable)
     with pytest.raises(ValueError, match="duration 1e-05 s gives no sample"):
         simulate.speech_like(1e-5, 16000)
     with pytest.raises(ValueError, match="16 kHz only"):
-        simulate.speech_like(0.5, 8000)
+        simulate.speech_like(3.2, 8000)
+
+
+def test_synth_rir_tail_starts_past_the_drr_direct_window():
+    # the direct window estimate_drr counts holds the impulse alone
+    h = simulate.synth_rir(simulate.SynthRirSpec(rt60=0.5, drr=0.0)).samples
+    spread = int(round(acoustics.DRR_DIRECT_S * stft.RATE))
+    d = simulate.DIRECT_DELAY
+    assert np.all(h[d + 1: d + spread + 1] == 0.0)
+    assert h[d + spread + 1] != 0.0
 
 
 def test_mix_rejects_minus_infinite_and_nan_snr():

@@ -10,22 +10,20 @@ def random_wave(seed, n, fs=16000):
     return revkit.Waveform(rng.standard_normal(n), fs)
 
 
-def naive_frame_dft(x, cfg, t):
-    frame = x[t * cfg.hop: t * cfg.hop + cfg.win_length]
-    return np.fft.rfft(frame * cfg.window)
+def naive_frame_dft(x, t):
+    frame = x[t * stft.HOP: t * stft.HOP + stft.WIN]
+    return np.fft.rfft(frame * stft.WINDOW)
 
 
 def test_frame_count_formula():
-    cfg = revkit.StftConfig()
-    assert stft.num_frames(4096, cfg) == 29
-    assert stft.num_frames(512, cfg) == 1
-    assert stft.num_frames(16000, cfg) == 122
+    assert stft.num_frames(4096) == 29
+    assert stft.num_frames(512) == 1
+    assert stft.num_frames(16000) == 122
 
 
 def test_too_short_input_rejected():
-    cfg = revkit.StftConfig()
     with pytest.raises(ValueError, match="input too short"):
-        stft.forward(revkit.Waveform(np.ones(511), 16000), cfg)
+        stft.forward(revkit.Waveform(np.ones(511), 16000))
 
 
 def test_zero_input_gives_zero_spectrogram():
@@ -36,22 +34,20 @@ def test_zero_input_gives_zero_spectrogram():
 
 def test_unit_impulse_first_frame():
     # frame 0 sees window * impulse, i.e. the constant window[0] per bin
-    cfg = revkit.StftConfig()
     x = np.zeros(2048)
     x[0] = 1.0
-    spec = stft.forward(revkit.Waveform(x, 16000), cfg)
-    expected = naive_frame_dft(x, cfg, 0)
+    spec = stft.forward(revkit.Waveform(x, 16000))
+    expected = naive_frame_dft(x, 0)
     np.testing.assert_allclose(spec.data[:, 0], expected, atol=1e-12)
-    assert np.allclose(spec.data[:, 0], cfg.window[0])
+    assert np.allclose(spec.data[:, 0], stft.WINDOW[0])
 
 
 def test_columns_match_naive_dft():
-    cfg = revkit.StftConfig()
     wave = random_wave(3, 16000)
-    spec = stft.forward(wave, cfg)
+    spec = stft.forward(wave)
     for t in (0, 1, 57, spec.num_frames - 1):
         np.testing.assert_allclose(
-            spec.data[:, t], naive_frame_dft(wave.samples, cfg, t),
+            spec.data[:, t], naive_frame_dft(wave.samples, t),
             atol=1e-9,
         )
 
@@ -61,7 +57,7 @@ def test_round_trip_interior():
     spec = stft.forward(wave)
     out = stft.inverse(spec)
     n = out.samples.size
-    w = spec.config.win_length
+    w = stft.WIN
     err = np.linalg.norm(out.samples[w: n - w] - wave.samples[w: n - w])
     err /= np.linalg.norm(wave.samples[w: n - w])
     assert err < 1e-6
@@ -77,13 +73,12 @@ def test_projection_idempotent():
     # analysis of a synthesized signal projects onto consistent
     # spectrograms; doing it twice changes nothing
     rng = np.random.default_rng(11)
-    cfg = revkit.StftConfig()
     data = rng.standard_normal((257, 40)) + 1j * rng.standard_normal((257, 40))
     data[0] = data[0].real
     data[-1] = data[-1].real
-    spec = revkit.Spectrogram(data, cfg)
-    once = stft.forward(stft.inverse(spec), cfg)
-    twice = stft.forward(stft.inverse(once), cfg)
+    spec = revkit.Spectrogram(data)
+    once = stft.forward(stft.inverse(spec))
+    twice = stft.forward(stft.inverse(once))
     assert once.data.shape[1] <= 40
     np.testing.assert_allclose(
         twice.data[:, 1:-1],
@@ -109,20 +104,21 @@ def test_linearity_of_denormalized_coefficients():
 
 def test_energy_consistency_parseval():
     # windowed frame energy matches spectrum energy per rfft conventions
-    cfg = revkit.StftConfig()
     wave = random_wave(9, 4096)
-    spec = stft.forward(wave, cfg)
+    spec = stft.forward(wave)
     t = 10
-    frame = wave.samples[t * cfg.hop: t * cfg.hop + cfg.win_length] * cfg.window
+    frame = wave.samples[t * stft.HOP: t * stft.HOP + stft.WIN] * stft.WINDOW
     col = spec.data[:, t]
     spec_energy = (np.abs(col[0]) ** 2 + np.abs(col[-1]) ** 2
-                   + 2 * np.sum(np.abs(col[1:-1]) ** 2)) / cfg.win_length
+                   + 2 * np.sum(np.abs(col[1:-1]) ** 2)) / stft.WIN
     assert np.isclose(spec_energy, np.sum(frame ** 2), rtol=1e-10)
 
 
-def test_hop_must_divide_window():
-    with pytest.raises(ValueError):
-        revkit.StftConfig(win_length=512, hop=96)
+def test_spectrogram_has_the_one_transforms_bins():
+    with pytest.raises(ValueError, match="expected 257 frequency bins"):
+        revkit.Spectrogram(np.zeros((33, 4)))
+    spec = revkit.Spectrogram(np.zeros((257, 4)))
+    assert spec.config == stft.TRANSFORM == (512, 128)
 
 
 def test_waveform_validation():
@@ -134,11 +130,11 @@ def test_waveform_validation():
         revkit.Waveform(np.ones(4), 8000)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 31, 64, 255, 512, 1023])
+@pytest.mark.parametrize("n", [stft.WIN])
 def test_window_is_scipy_periodic_hann(n):
     from scipy.signal import get_window
-    window = revkit.StftConfig(win_length=n, hop=1).window
-    assert np.array_equal(window, get_window("hann", n, fftbins=True))
+    assert np.array_equal(stft.WINDOW, get_window("hann", n, fftbins=True))
+    assert not stft.WINDOW.flags.writeable
 
 
 @pytest.mark.parametrize("na, nb", [(1, 1), (1, 9), (9, 1), (2, 2), (3, 7),

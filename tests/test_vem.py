@@ -3,7 +3,7 @@ import pytest
 
 import revkit
 from revkit import evaluate, prior, vem
-from synthcases import speechlike_tf_instance, tf_spectrogram
+from synthcases import speechlike_tf_instance
 
 
 def wiener_state(seed, F=257, T=4):
@@ -13,7 +13,7 @@ def wiener_state(seed, F=257, T=4):
     alpha = rng.uniform(0.1, 10.0, (F, T))
     delta = rng.uniform(0.5, 50.0, F)
     cfg = vem.VemConfig(ctf_len=1, ema=0.0, max_iters=1, skip_low_bands=0)
-    Xs = tf_spectrogram(X)
+    Xs = revkit.Spectrogram(X)
     ap = revkit.PriorPrecision(alpha)
     state = vem.init(Xs, ap, cfg)
     state.noise = vem.NoisePrecision(delta)
@@ -24,7 +24,7 @@ def test_init_values():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((257, 10)) + 1j * rng.standard_normal((257, 10))
     X[5] = 0.25  # constant magnitude band
-    Xs = tf_spectrogram(X)
+    Xs = revkit.Spectrogram(X)
     ap = revkit.PriorPrecision(np.ones((257, 10)))
     cfg = vem.VemConfig(ctf_len=6, skip_low_bands=0)
     st = vem.init(Xs, ap, cfg)
@@ -42,7 +42,7 @@ def test_init_values():
 
 def test_init_all_zero_band_floored():
     X = np.zeros((257, 8), complex)
-    Xs = tf_spectrogram(X)
+    Xs = revkit.Spectrogram(X)
     ap = revkit.PriorPrecision(np.full((257, 8), 1e10))
     cfg = vem.VemConfig(skip_low_bands=0)
     st = vem.init(Xs, ap, cfg)
@@ -154,7 +154,7 @@ def test_run_first_iterate_is_the_step_api_update(T, L):
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
     cfg = vem.VemConfig(ctf_len=L, ema=0.0, max_iters=1, skip_low_bands=0)
-    Xs, ap = tf_spectrogram(X), revkit.PriorPrecision(A)
+    Xs, ap = revkit.Spectrogram(X), revkit.PriorPrecision(A)
     S_hat, H_hat, _ = vem.run(Xs, ap, cfg)
     state = vem.init(Xs, ap, cfg)
     state.posterior = vem.e_step(state, Xs, ap, cfg)
@@ -322,7 +322,7 @@ def test_run_trace_is_likelihood_of_recorded_iterate():
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
     cfg = vem.VemConfig(ctf_len=3, ema=0.0, max_iters=3, skip_low_bands=0)
-    Xs, ap = tf_spectrogram(X), revkit.PriorPrecision(A)
+    Xs, ap = revkit.Spectrogram(X), revkit.PriorPrecision(A)
     _, _, trace = vem.run(Xs, ap, cfg)
     state = vem.init(Xs, ap, cfg)
     replay = [vem.expected_loglik(state, Xs, ap)]
@@ -341,7 +341,7 @@ def test_run_trace_replays_through_step_api_long_input():
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
     cfg = vem.VemConfig(ctf_len=5, ema=0.0, max_iters=4, skip_low_bands=0)
-    Xs, ap = tf_spectrogram(X), revkit.PriorPrecision(A)
+    Xs, ap = revkit.Spectrogram(X), revkit.PriorPrecision(A)
     _, _, trace = vem.run(Xs, ap, cfg)
     state = vem.init(Xs, ap, cfg)
     replay = [vem.expected_loglik(state, Xs, ap)]
@@ -358,11 +358,11 @@ def test_band_independence():
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
     cfg = vem.VemConfig(ctf_len=5, max_iters=8, skip_low_bands=0)
-    S1, H1, tr1 = vem.run(tf_spectrogram(X), revkit.PriorPrecision(A), cfg)
+    S1, H1, tr1 = vem.run(revkit.Spectrogram(X), revkit.PriorPrecision(A), cfg)
     # permute all other bands; band 100 must be bit-identical
     perm = np.arange(F)
     perm[:100] = perm[:100][::-1]
-    S2, H2, tr2 = vem.run(tf_spectrogram(X[perm]),
+    S2, H2, tr2 = vem.run(revkit.Spectrogram(X[perm]),
                           revkit.PriorPrecision(A[perm]), cfg)
     band_at = int(np.nonzero(perm == 100)[0][0])
     assert np.array_equal(S1.data[100], S2.data[band_at])
@@ -372,8 +372,9 @@ def test_band_independence():
 def test_singular_band_leaves_the_other_bands_bit_identical(monkeypatch):
     # one band's first filter system is made to fail the solve; only that
     # band may be re-solved with raised jitter, the others keep their bits
-    _, _, X = speechlike_tf_instance(17, F=33, T=80, L=5)
-    Xs = revkit.Spectrogram(X, revkit.StftConfig(64, 16))  # one band chunk
+    # the first solve is the first band chunk's, which holds band ``bad``
+    _, _, X = speechlike_tf_instance(17, F=257, T=80, L=5)
+    Xs = revkit.Spectrogram(X)
     A = revkit.PriorPrecision(
         np.random.default_rng(17).uniform(0.5, 2.0, X.shape))
     cfg = vem.VemConfig(ctf_len=5, max_iters=10, skip_low_bands=0)
@@ -406,7 +407,7 @@ def test_run_thread_count_does_not_change_results():
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
     cfg = vem.VemConfig(ctf_len=4, max_iters=6)
-    outs = [vem.run(tf_spectrogram(X), revkit.PriorPrecision(A), cfg,
+    outs = [vem.run(revkit.Spectrogram(X), revkit.PriorPrecision(A), cfg,
                     threads=k) for k in (1, 4, 8)]
     for S, H, tr in outs[1:]:
         assert np.array_equal(S.data, outs[0][0].data)
@@ -422,7 +423,7 @@ def test_run_identity_channel_recovery():
     mag = rng.uniform(0.05, 2.0, (F, T))
     mag[:, 60:80] *= 1e-6  # a pause anchors the noise-precision init
     S = (rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))) * mag
-    Xs = tf_spectrogram(S)
+    Xs = revkit.Spectrogram(S)
     ap = revkit.from_magnitude(np.abs(S))
     cfg = vem.VemConfig(ctf_len=4, ema=0.7, max_iters=20, skip_low_bands=0)
     S_hat, H_hat, trace = vem.run(Xs, ap, cfg)
@@ -434,7 +435,7 @@ def test_run_identity_channel_recovery():
 
 def test_run_known_filter_recovery_and_lsd():
     S, H_true, Xn = speechlike_tf_instance(seed=42)
-    Xs = tf_spectrogram(Xn)
+    Xs = revkit.Spectrogram(Xn)
     ap = revkit.from_magnitude(np.abs(S))
     cfg = vem.VemConfig(ctf_len=8, ema=0.7, max_iters=100, skip_low_bands=3)
     S_hat, H_hat, trace = vem.run(Xs, ap, cfg)
@@ -442,7 +443,7 @@ def test_run_known_filter_recovery_and_lsd():
     herr = np.linalg.norm(H_hat.h[sl] - H_true[sl], axis=1)
     herr /= np.linalg.norm(H_true[sl], axis=1)
     assert np.median(herr) < 0.1
-    ref = tf_spectrogram(S)
+    ref = revkit.Spectrogram(S)
     assert evaluate.lsd(S_hat, ref) < evaluate.lsd(Xs, ref)
 
 
@@ -452,7 +453,7 @@ def test_run_best_snapshot_non_decreasing_and_skip_bands():
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
     cfg = vem.VemConfig(ctf_len=3, max_iters=10, skip_low_bands=3)
-    S_hat, H_hat, trace = vem.run(tf_spectrogram(X),
+    S_hat, H_hat, trace = vem.run(revkit.Spectrogram(X),
                                   revkit.PriorPrecision(A), cfg)
     # skipped bands: zero spectrum, zero filter, no trace
     assert np.all(S_hat.data[:3] == 0)
@@ -466,7 +467,7 @@ def test_run_best_snapshot_non_decreasing_and_skip_bands():
 
 def test_run_likelihood_improves_from_init():
     S, H_true, Xn = speechlike_tf_instance(seed=7)
-    Xs = tf_spectrogram(Xn)
+    Xs = revkit.Spectrogram(Xn)
     ap = revkit.from_magnitude(np.abs(S))
     cfg = vem.VemConfig(ctf_len=8, max_iters=30, skip_low_bands=3)
     _, _, trace = vem.run(Xs, ap, cfg)
