@@ -1,28 +1,45 @@
-"""Single-channel speech dereverberation and blind RIR identification."""
+"""Single-channel speech dereverberation and blind RIR identification.
 
-from .acoustics import (AcousticParams, InsufficientDecayError, edc,
-                        estimate_drr, estimate_rt60)
-from .evaluate import ScoreReport, lsd, score_rir_batch
-from .prior import (PriorPrecision, from_magnitude, load_prior_file,
-                    oracle_from_reference, save_prior_file)
-from .rir import RirEstimate, ctf_to_rir, inverse_filter, log_sweep
-from .simulate import (SynthRirSpec, direct_path_reference, mix, speech_like,
-                       synth_rir, white_noise)
-from .stft import Spectrogram, Waveform, forward, inverse
-from .vem import (CtfFilter, NoisePrecision, Posterior, VemConfig, VemState,
-                  e_step, expected_loglik, init, m_step, run)
-from .wavio import read_wav, write_wav
+Public names and submodules load on first use (PEP 562), so a command
+imports only the layers it runs: ``import revkit`` loads no submodule,
+and ``revkit.run`` or ``from revkit import run`` imports ``revkit.vem``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcousticParams", "CtfFilter", "InsufficientDecayError",
-    "NoisePrecision", "Posterior", "PriorPrecision", "RirEstimate",
-    "ScoreReport", "Spectrogram", "SynthRirSpec",
-    "VemConfig", "VemState", "Waveform", "ctf_to_rir",
-    "direct_path_reference", "e_step", "edc", "estimate_drr", "estimate_rt60",
-    "expected_loglik", "forward", "from_magnitude", "init", "inverse",
-    "inverse_filter", "load_prior_file", "log_sweep", "lsd", "m_step", "mix",
-    "oracle_from_reference", "read_wav", "run", "save_prior_file",
-    "score_rir_batch", "speech_like", "synth_rir", "white_noise", "write_wav",
-]
+# public name -> the submodule that defines it
+_SOURCES = {
+    **dict.fromkeys(("AcousticParams", "InsufficientDecayError", "edc",
+                     "estimate_drr", "estimate_rt60"), "acoustics"),
+    **dict.fromkeys(("ScoreReport", "lsd", "score_rir_batch"), "evaluate"),
+    **dict.fromkeys(("PriorPrecision", "from_magnitude", "load_prior_file",
+                     "oracle_from_reference", "save_prior_file"), "prior"),
+    **dict.fromkeys(("RirEstimate", "ctf_to_rir", "inverse_filter",
+                     "log_sweep"), "rir"),
+    **dict.fromkeys(("SynthRirSpec", "direct_path_reference", "mix",
+                     "speech_like", "synth_rir", "white_noise"), "simulate"),
+    **dict.fromkeys(("Spectrogram", "Waveform", "forward", "inverse"),
+                    "stft"),
+    **dict.fromkeys(("CtfFilter", "NoisePrecision", "Posterior", "VemConfig",
+                     "VemState", "e_step", "expected_loglik", "init",
+                     "m_step", "run"), "vem"),
+    **dict.fromkeys(("read_wav", "write_wav"), "wavio"),
+}
+__all__ = sorted(_SOURCES)
+
+
+def __getattr__(name):
+    if name in _SOURCES.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_SOURCES[name]}"),
+                    name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCES.values(), *__all__})

@@ -11,6 +11,10 @@ cannot be read or used, with one line naming it. ``simulate`` takes no
 config file: its grid, source and ``--seed`` flags are all it reads, and a
 bad number is a usage error. Runs are deterministic given inputs, config
 and seed.
+
+Each command imports only the layers it runs: only the engine commands
+load the engine (``vem``, ``prior``, ``rir``, ``config``), so ``rt60``,
+``drr`` and ``eval`` start without it.
 """
 
 from __future__ import annotations
@@ -18,19 +22,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
-import json
-import platform
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import (__version__, acoustics, evaluate, prior, rir, simulate, stft,
-               vem, wavio)
-from .config import (KEYS, PipelineConfig, build_config, config_values,
-                     dump_config, parse_config)
+from . import __version__, acoustics, stft, wavio
+
+if TYPE_CHECKING:
+    from . import prior
+    from .config import PipelineConfig
 
 
 def _positive_int(text: str) -> int:
@@ -115,6 +118,7 @@ def _effective_config(args, **defaults) -> PipelineConfig:
     The merged settings are validated once; a bad file, key or value ends
     the run before any input is read or any output is written.
     """
+    from .config import KEYS, build_config, parse_config
     values = dict(defaults)
     try:
         if args.config is not None:
@@ -145,6 +149,7 @@ def _write_dump(args, cfg: PipelineConfig) -> None:
     fails on them leaves no output."""
     if args.dump_config is None:
         return
+    from .config import dump_config
     text = dump_config(cfg)
     if args.dump_config == "-":
         sys.stdout.write(text)
@@ -153,6 +158,7 @@ def _write_dump(args, cfg: PipelineConfig) -> None:
 
 
 def _sha256(path) -> str:
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -166,6 +172,10 @@ def _manifest_path(args) -> Path:
 
 def _write_manifest(args, outputs, cfg, timings) -> None:
     """``<output>.manifest.json`` of a dereverb / identify-rir run."""
+    import json
+    import platform
+
+    from .config import config_values
     inputs = [args.input, args.oracle or args.prior]
     manifest = {
         "inputs": {str(p): _sha256(p) for p in inputs},
@@ -200,6 +210,7 @@ def _reading(path):
 def _load_prior(args, observed: stft.Spectrogram,
                 peak: float) -> prior.PriorPrecision:
     """The prior; an oracle is divided by the observation's ``peak``."""
+    from . import prior
     if args.oracle is not None:
         with _reading(args.oracle):
             ref = wavio.read_wav(args.oracle)
@@ -238,6 +249,7 @@ def _run_vem(args, cfg: PipelineConfig, *outputs):
     command's own output paths besides the WAV, the trace and the dump.
     The engine sees the observation divided by its ``peak`` (1 for
     silence), the scale VPRI magnitudes refer to."""
+    from . import vem
     _check_output_paths(args.output, _manifest_path(args), args.trace,
                         *outputs,
                         None if args.dump_config == "-" else args.dump_config)
@@ -281,6 +293,7 @@ def cmd_dereverb(args) -> int:
 
 
 def cmd_identify_rir(args) -> int:
+    from . import rir
     cfg = _effective_config(args, max_iters=300)
     _, H_hat, _, timings = _run_vem(args, cfg, args.params, args.ctf_csv)
 
@@ -327,7 +340,9 @@ def _params_batch(args, estimator, columns, describe) -> int:
     input that cannot be read or has too little decay
     (``InsufficientDecayError`` is a ``ValueError``) gets a message line,
     blank fields and exit status 1; the other inputs are still processed.
+    An unusable ``--csv`` path ends the run before any input is read.
     """
+    _check_output_paths(args.csv)
     rows = []
     status = 0
     for p in args.inputs:
@@ -361,6 +376,7 @@ def cmd_drr(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulate
     clean_src = None
     if args.clean is not None:
         with _reading(args.clean):
@@ -428,6 +444,8 @@ def _read_params_csv(path) -> list[tuple[float, float]]:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluate
+    _check_output_paths(args.csv)
     est = _read_params_csv(args.estimates)
     ref = _read_params_csv(args.references)
     try:

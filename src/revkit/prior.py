@@ -28,6 +28,7 @@ POWER_FLOOR = 1e-10
 
 _MAGIC = b"VPRI"
 _VERSION = 1
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -48,13 +49,19 @@ class PriorPrecision:
         return self.alpha.shape
 
 
-def from_magnitude(mag: np.ndarray) -> PriorPrecision:
-    """Precision from a magnitude matrix: 1 / max(mag^2, POWER_FLOOR)."""
+def _checked_magnitudes(mag) -> np.ndarray:
+    """``mag`` as float64, if it is finite and non-negative."""
     mag = np.asarray(mag, dtype=np.float64)
     if not np.all(np.isfinite(mag)):
         raise ValueError("magnitude matrix contains non-finite values")
     if np.any(mag < 0):
         raise ValueError("magnitudes must be non-negative")
+    return mag
+
+
+def from_magnitude(mag: np.ndarray) -> PriorPrecision:
+    """Precision from a magnitude matrix: 1 / max(mag^2, POWER_FLOOR)."""
+    mag = _checked_magnitudes(mag)
     return PriorPrecision(1.0 / np.maximum(mag ** 2, POWER_FLOOR))
 
 
@@ -89,10 +96,19 @@ def oracle_from_reference(clean: Waveform, transform: tuple[int, int],
 
 
 def save_prior_file(path, mag: np.ndarray) -> None:
-    """Write a magnitude matrix as a VPRI prior file."""
-    mag = np.asarray(mag, dtype=np.float64)
-    if mag.ndim != 2:
-        raise ValueError("prior magnitudes must be an F x T matrix")
+    """Write a magnitude matrix as a VPRI prior file.
+
+    Only a file that ``load_prior_file`` and ``from_magnitude`` accept is
+    written: ``mag`` must be a non-empty F x T matrix of finite,
+    non-negative values no larger than the float32 maximum, or nothing is
+    written and ``ValueError`` is raised.
+    """
+    mag = _checked_magnitudes(mag)
+    if mag.ndim != 2 or mag.size == 0:
+        raise ValueError("prior magnitudes must be a non-empty F x T matrix")
+    if np.any(mag > _F32_MAX):
+        raise ValueError(f"magnitudes must not exceed the float32 maximum "
+                         f"{_F32_MAX:.7g}")
     F, T = mag.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)

@@ -248,8 +248,13 @@ def _normal_equations(FX, mu, Fmu, gamma, L):
     normal equations, taps in S-vector (oldest-first) order. FX and Fmu are
     the ``_spectrum`` of the observation and of mu."""
     G = _gram_windows(mu, Fmu, 1.0 / gamma, L)
-    # b[j] = sum_t X(t) mu*(t - L + 1 + j), the cross-correlation at lag L-1-j
-    b = ifft(FX * np.conj(Fmu))[:, L - 1:: -1]
+    # b[j] = sum_t X(t) mu*(t - L + 1 + j), the cross-correlation at lag L-1-j.
+    # The product is formed in place: numpy elides the temporary of
+    # ``FX * np.conj(Fmu)`` only above 256 KiB, and the elided product
+    # rounds differently, so a band's bits would depend on its block's size.
+    P = np.conj(Fmu)
+    np.multiply(P, FX, out=P)
+    b = ifft(P, out=P)[:, L - 1:: -1]
     # Taps whose windows lie wholly before the first frame (T < L) get exact
     # zeros, not FFT roundoff, which the near-singular solve would amplify.
     k = max(L - mu.shape[1], 0)

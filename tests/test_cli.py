@@ -479,6 +479,39 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0]"
 
 
+# Modules that only the engine commands, simulate, eval or the manifest
+# writer use; numpy and the interpreter load platform and threading anyway.
+ENGINE_MODULES = ("revkit.vem", "revkit.rir", "revkit.prior", "revkit.config",
+                  "revkit.simulate", "revkit.evaluate", "concurrent.futures",
+                  "hashlib", "json")
+
+
+def test_rt60_starts_without_the_engine(tmp_path):
+    # every command pays its imports at start-up; rt60 (like drr and eval)
+    # runs none of the engine, so neither the CLI import nor the command may
+    # load it, while every public name still resolves on first use
+    path = tmp_path / "rir.wav"
+    wavio.write_wav(path, simulate.synth_rir(
+        simulate.SynthRirSpec(rt60=0.5, drr=5.0, seed=7)))
+    proc = fresh_python("-c", f"""
+import sys
+engine = {ENGINE_MODULES!r}
+loaded = lambda: [m for m in engine if m in sys.modules]
+import revkit.cli
+after_import = loaded()
+status = revkit.cli.main(["rt60", sys.argv[1]])
+after_rt60 = loaded()
+import revkit
+vem = revkit.vem
+unresolved = [n for n in revkit.__all__ if getattr(revkit, n, None) is None]
+print([after_import, status, after_rt60, vem.__name__, vem.run is revkit.run,
+       unresolved])
+""", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(
+        [[], 0, [], "revkit.vem", True, []])
+
+
 @pytest.mark.parametrize("command, fault, message", [
     ("dereverb", "input-not-wav", "not a RIFF/WAVE file"),
     ("dereverb", "input-too-short", "input too short"),
@@ -551,16 +584,24 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
     ("identify-rir", "--ctf-csv"),
     ("identify-rir", "--trace"),
     ("identify-rir", "--dump-config"),
+    ("rt60", "--csv"),
+    ("drr", "--csv"),
+    ("eval", "--csv"),
 ], ids=["dereverb-output", "dereverb-trace", "dereverb-dump-config",
         "identify-rir-output", "identify-rir-params", "identify-rir-ctf-csv",
-        "identify-rir-trace", "identify-rir-dump-config"])
+        "identify-rir-trace", "identify-rir-dump-config", "rt60-csv",
+        "drr-csv", "eval-csv"])
 def test_output_in_missing_directory_exits_before_the_engine(
         tmp_path, identity_case, command, flag):
-    # checked before any input is read, so the engine never runs for
-    # results it cannot write, and nothing is left behind
+    # checked before any input is read, so the engine (or any other work)
+    # never runs for results it cannot write, and nothing is left behind
     nowhere = tmp_path / "nodir" / "x.out"
+    params = tmp_path / "params.csv"
+    params.write_text("rt60_s,drr_db\n0.5,3.0\n")
     out = nowhere if flag is None else tmp_path / "o.wav"
-    argv = [command, identity_case, out, "--oracle", identity_case]
+    argv = {"rt60": [command, identity_case], "drr": [command, identity_case],
+            "eval": [command, params, params]}.get(
+        command, [command, identity_case, out, "--oracle", identity_case])
     if command == "identify-rir":
         argv += ["--params",
                  nowhere if flag == "--params" else tmp_path / "p.csv"]
@@ -584,10 +625,13 @@ def test_output_in_missing_directory_exits_before_the_engine(
     ("identify-rir", "--ctf-csv"),
     ("identify-rir", "--trace"),
     ("identify-rir", "--dump-config"),
+    ("rt60", "--csv"),
+    ("drr", "--csv"),
+    ("eval", "--csv"),
 ], ids=["dereverb-output", "dereverb-manifest", "dereverb-trace",
         "dereverb-dump-config", "identify-rir-output", "identify-rir-manifest",
         "identify-rir-params", "identify-rir-ctf-csv", "identify-rir-trace",
-        "identify-rir-dump-config"])
+        "identify-rir-dump-config", "rt60-csv", "drr-csv", "eval-csv"])
 def test_output_that_is_a_directory_exits_before_any_input_is_read(
         tmp_path, command, flag):
     # the input is missing, so only a check made before it is read can end
@@ -597,7 +641,9 @@ def test_output_that_is_a_directory_exits_before_any_input_is_read(
     taken = {None: out, "manifest": tmp_path / "o.wav.manifest.json"}.get(
         flag, tmp_path / "somedir")
     taken.mkdir()
-    argv = [command, missing, out, "--oracle", missing]
+    argv = {"rt60": [command, missing], "drr": [command, missing],
+            "eval": [command, missing, missing]}.get(
+        command, [command, missing, out, "--oracle", missing])
     if command == "identify-rir":
         argv += ["--params",
                  taken if flag == "--params" else tmp_path / "p.csv"]

@@ -119,6 +119,23 @@ def test_vpri_round_trip(tmp_path):
     np.testing.assert_array_equal(back, mag.astype(np.float64))
 
 
+@pytest.mark.parametrize("mag, message", [
+    (np.zeros((0, 3)), "non-empty"),
+    (np.zeros((3, 0)), "non-empty"),
+    (np.array([[1.0, 1e39]]), "float32 maximum"),
+    (np.array([[1.0, np.nan]]), "non-finite"),
+    (np.array([[1.0, np.inf]]), "non-finite"),
+    (np.array([[1.0, -0.5]]), "non-negative"),
+], ids=["no-bands", "no-frames", "above-float32", "nan", "inf", "negative"])
+def test_vpri_writer_refuses_what_the_reader_rejects(tmp_path, mag, message):
+    # each of these once wrote a file that load_prior_file or from_magnitude
+    # rejects (1e39 became inf with only a numpy warning); nothing is opened
+    path = tmp_path / "p.vpri"
+    with pytest.raises(ValueError, match=message):
+        prior.save_prior_file(path, mag)
+    assert not path.exists()
+
+
 def test_vpri_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "bad.vpri"
     path.write_bytes(b"NOPE" + b"\x00" * 12)

@@ -369,6 +369,24 @@ def test_band_independence():
     assert np.array_equal(H1.h[100], H2.h[band_at])
 
 
+def test_band_bits_do_not_depend_on_the_size_of_their_block():
+    # skip_low_bands 3 puts bands 237-256 in a 62-band block (285 KiB per
+    # spectrum), 237 in a 20-band block (92 KiB): either side of numpy's
+    # 256 KiB temporary-elision threshold, which once changed their bits
+    rng = np.random.default_rng(20)
+    F, T, L = 257, 260, 30
+    X = revkit.Spectrogram(rng.standard_normal((F, T))
+                           + 1j * rng.standard_normal((F, T)))
+    A = revkit.PriorPrecision(rng.uniform(0.5, 2.0, (F, T)))
+    runs = [vem.run(X, A, vem.VemConfig(ctf_len=L, max_iters=3,
+                                        skip_low_bands=skip))
+            for skip in (3, 237)]
+    (S1, H1, tr1), (S2, H2, tr2) = runs
+    assert S1.data[237:].tobytes() == S2.data[237:].tobytes()
+    assert H1.h[237:].tobytes() == H2.h[237:].tobytes()
+    assert tr1[:, 237:].tobytes() == tr2[:, 237:].tobytes()
+
+
 def test_singular_band_leaves_the_other_bands_bit_identical(monkeypatch):
     # one band's first filter system is made to fail the solve; only that
     # band may be re-solved with raised jitter, the others keep their bits
