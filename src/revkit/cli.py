@@ -3,18 +3,19 @@
 Subcommands: dereverb, identify-rir, rt60, drr, simulate, eval. Each
 parses only the flags it reads. The engine commands (dereverb,
 identify-rir) take their settings from a flat key = value config file
-(``--config``) and from flags that win over the file; ``--dump-config``
-writes the effective configuration. A bad file, key or value exits with
-"invalid configuration: ..." before any output; so does an output path
-that is a directory or whose directory is missing, or an input file that
-cannot be read or used, with one line naming it. ``simulate`` takes no
-config file: its grid, source and ``--seed`` flags are all it reads, and a
-bad number is a usage error. Runs are deterministic given inputs, config
-and seed.
+(``--config``) and from flags that win over the file. ``ENGINE_KEYS`` is
+the one table of those settings: each key is a file key, the ``dest`` of
+its flag and its name in ``--dump-config`` output and the manifest. A bad
+file, key or value exits with "invalid configuration: ..." before any
+output; an output path that is a directory or whose directory is missing,
+or an input file that cannot be read or used, exits with status 1 and
+one line naming it. ``simulate`` takes no config file: its grid, source
+and ``--seed`` flags are all it reads, and a bad number is a usage error.
+Runs are deterministic given inputs, config and seed.
 
 Each command imports only the layers it runs: only the engine commands
-load the engine (``vem``, ``prior``, ``rir``, ``config``), so ``rt60``,
-``drr`` and ``eval`` start without it.
+load the engine (``vem``, ``prior``, ``rir``), so ``rt60``, ``drr`` and
+``eval`` start without it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,7 +35,7 @@ from . import __version__, acoustics, stft, wavio
 
 if TYPE_CHECKING:
     from . import prior
-    from .config import PipelineConfig
+    from .vem import VemConfig
 
 
 def _positive_int(text: str) -> int:
@@ -82,6 +84,25 @@ def _grid(item):
     return grid
 
 
+# config key -> (flag, type, help), in the order of --help. The key is
+# also the flag's dest and its name in a dump and the manifest; each key
+# but "threads" sets the VemConfig field of its name ("lambda" sets ema).
+ENGINE_KEYS = {
+    "max_iters": ("--iters", int, "VEM iterations"),
+    "ctf_len": ("--ctf-len", int, "subband filter length in frames"),
+    "lambda": ("--lambda", float, "posterior smoothing factor in [0, 1)"),
+    "skip_low_bands": ("--skip-bands", int,
+                       "lowest frequency bands excluded from inference"),
+    "threads": ("--threads", int, "worker threads (default: the CPUs this "
+                                  "process may use; results are identical)"),
+}
+
+
+def _field(key: str) -> str:
+    """The VemConfig field an engine key sets."""
+    return "ema" if key == "lambda" else key
+
+
 def _add_engine(parser: argparse.ArgumentParser) -> None:
     # exactly one prior source, a usage error before any file is touched
     source = parser.add_mutually_exclusive_group(required=True)
@@ -93,44 +114,71 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
                         help="key = value config file")
     parser.add_argument("--dump-config", type=str, default=None, metavar="PATH",
                         help="write the effective config ('-' for stdout)")
-    # each dest is the config key the flag overrides; an absent flag sets
-    # nothing, so the file's value (or the default) stands
-    unset = argparse.SUPPRESS
-    parser.add_argument("--iters", dest="max_iters", type=int, default=unset,
-                        metavar="ITERS", help="VEM iterations")
-    parser.add_argument("--ctf-len", type=int, default=unset,
-                        help="subband filter length in frames")
-    parser.add_argument("--lambda", type=float, default=unset,
-                        help="posterior smoothing factor in [0, 1)")
-    parser.add_argument("--skip-bands", dest="skip_low_bands", type=int,
-                        default=unset, metavar="SKIP_BANDS",
-                        help="lowest frequency bands excluded from inference")
-    parser.add_argument("--threads", type=int, default=unset,
-                        help="worker threads (default: the CPUs this process "
-                             "may use; results are identical)")
+    # an absent flag sets nothing, so the file's value (or the default) stands
+    for key, (flag, kind, text) in ENGINE_KEYS.items():
+        parser.add_argument(flag, dest=key, type=kind,
+                            default=argparse.SUPPRESS,
+                            metavar=flag[2:].upper().replace("-", "_"),
+                            help=text)
     parser.add_argument("--trace", type=Path, default=None,
                         help="write per-band likelihood trace CSV here")
 
 
-def _effective_config(args, **defaults) -> PipelineConfig:
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _parse_config(text: str) -> dict:
+    """Parse ``key = value`` lines ('#' comments allowed) into {key: value}."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in ENGINE_KEYS:
+            raise ValueError(f"line {lineno}: unknown key '{key}'")
+        try:
+            values[key] = ENGINE_KEYS[key][1](value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for '{key}'") from exc
+    return values
+
+
+def _effective_config(args, **defaults) -> tuple[VemConfig, dict]:
     """The command's ``defaults``, then the ``--config`` file, then flags.
 
-    The merged settings are validated once; a bad file, key or value ends
-    the run before any input is read or any output is written.
+    Returns the engine's settings and {key: value} for every key of
+    ``ENGINE_KEYS``, as a dump and the manifest record them; ``threads``
+    defaults to the CPUs this process may use, counted here. The merged
+    settings are validated once; a bad file, key or value ends the run
+    before any input is read or any output is written.
     """
-    from .config import KEYS, build_config, parse_config
-    values = dict(defaults)
+    from .vem import VemConfig
     try:
-        if args.config is not None:
-            values.update(parse_config(args.config.read_text("utf-8")))
-        values.update((k, v) for k, v in vars(args).items() if k in KEYS)
-        cfg = build_config(values)
-    except OSError as exc:
-        raise SystemExit(f"invalid configuration: cannot read {args.config}: "
-                         f"{exc.strerror}") from None
+        text = "" if args.config is None else args.config.read_text("utf-8")
+    except (OSError, ValueError) as exc:
+        raise SystemExit("invalid configuration: cannot read "
+                         + _fault(args.config, exc)) from None
+    values = {"threads": _available_cpus(), **defaults}
+    try:
+        values.update(_parse_config(text))
+        values.update((k, v) for k, v in vars(args).items()
+                      if k in ENGINE_KEYS)
+        threads = values.pop("threads")
+        cfg = VemConfig(**{_field(k): v for k, v in values.items()})
+        if threads < 1:
+            raise ValueError("threads must be >= 1")
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from None
-    return cfg
+    settings = {key: threads if key == "threads" else getattr(cfg, _field(key))
+                for key in ENGINE_KEYS}
+    return cfg, settings
 
 
 def _check_output_paths(*paths) -> None:
@@ -144,13 +192,17 @@ def _check_output_paths(*paths) -> None:
             raise SystemExit(f"{path}: no such directory")
 
 
-def _write_dump(args, cfg: PipelineConfig) -> None:
+def _dump_config(settings: dict) -> str:
+    """``settings`` in the config file's format, in sorted key order."""
+    return "".join(f"{key} = {settings[key]}\n" for key in sorted(settings))
+
+
+def _write_dump(args, settings: dict) -> None:
     """``--dump-config``, written once the inputs have loaded, so a run that
     fails on them leaves no output."""
     if args.dump_config is None:
         return
-    from .config import dump_config
-    text = dump_config(cfg)
+    text = _dump_config(settings)
     if args.dump_config == "-":
         sys.stdout.write(text)
     else:
@@ -170,17 +222,16 @@ def _manifest_path(args) -> Path:
     return Path(str(args.output) + ".manifest.json")
 
 
-def _write_manifest(args, outputs, cfg, timings) -> None:
+def _write_manifest(args, outputs, settings, timings) -> None:
     """``<output>.manifest.json`` of a dereverb / identify-rir run."""
     import json
     import platform
 
-    from .config import config_values
     inputs = [args.input, args.oracle or args.prior]
     manifest = {
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
-        "config": {k: str(v) for k, v in config_values(cfg).items()},
+        "config": {k: str(v) for k, v in settings.items()},
         "timings_s": timings,
         # FFT and BLAS output bits depend on the builds, so name them.
         "versions": {"revkit": __version__, "numpy": np.__version__,
@@ -244,7 +295,7 @@ def _write_trace(path, trace: np.ndarray) -> None:
     ))
 
 
-def _run_vem(args, cfg: PipelineConfig, *outputs):
+def _run_vem(args, cfg: VemConfig, settings: dict, *outputs):
     """Shared front half of dereverb / identify-rir; ``outputs`` are the
     command's own output paths besides the WAV, the trace and the dump.
     The engine sees the observation divided by its ``peak`` (1 for
@@ -264,11 +315,10 @@ def _run_vem(args, cfg: PipelineConfig, *outputs):
     t0 = time.perf_counter()
     alpha = _load_prior(args, X, peak)
     timings["prior"] = time.perf_counter() - t0
-    _write_dump(args, cfg)
+    _write_dump(args, settings)
 
     t0 = time.perf_counter()
-    S_hat, H_hat, trace = vem.run(X, alpha, cfg.vem,
-                                  threads=cfg.threads)
+    S_hat, H_hat, trace = vem.run(X, alpha, cfg, threads=settings["threads"])
     timings["vem"] = time.perf_counter() - t0
     if args.trace is not None:
         _write_trace(args.trace, trace)
@@ -276,8 +326,8 @@ def _run_vem(args, cfg: PipelineConfig, *outputs):
 
 
 def cmd_dereverb(args) -> int:
-    cfg = _effective_config(args, max_iters=100)
-    S_hat, _, peak, timings = _run_vem(args, cfg)
+    cfg, settings = _effective_config(args, max_iters=100)
+    S_hat, _, peak, timings = _run_vem(args, cfg, settings)
     t0 = time.perf_counter()
     out = stft.inverse(S_hat)
     # The posterior is not a consistent spectrogram, so inverse's division
@@ -287,15 +337,16 @@ def cmd_dereverb(args) -> int:
     fade = np.minimum(1.0, wsum / (0.5 * np.max(wsum)))
     wavio.write_wav(args.output, stft.Waveform(out.samples * peak * fade))
     timings["synthesis"] = time.perf_counter() - t0
-    _write_manifest(args, [args.output], cfg, timings)
+    _write_manifest(args, [args.output], settings, timings)
     print(f"wrote {args.output}")
     return 0
 
 
 def cmd_identify_rir(args) -> int:
     from . import rir
-    cfg = _effective_config(args, max_iters=300)
-    _, H_hat, _, timings = _run_vem(args, cfg, args.params, args.ctf_csv)
+    cfg, settings = _effective_config(args, max_iters=300)
+    _, H_hat, _, timings = _run_vem(args, cfg, settings, args.params,
+                                    args.ctf_csv)
 
     t0 = time.perf_counter()
     est = rir.ctf_to_rir(H_hat)
@@ -328,7 +379,7 @@ def cmd_identify_rir(args) -> int:
             for f in range(F) for l in range(L)
         ))
         outputs.append(args.ctf_csv)
-    _write_manifest(args, outputs, cfg, timings)
+    _write_manifest(args, outputs, settings, timings)
     print(f"wrote {args.output} and {args.params}")
     return 0
 
@@ -377,14 +428,19 @@ def cmd_drr(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import simulate
+    outdir = Path(args.outdir)
+    # the nearest existing ancestor is where mkdir would fail; "." and "/"
+    # always exist
+    if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
+        raise SystemExit(f"{outdir}: not a directory")
     clean_src = None
     if args.clean is not None:
         with _reading(args.clean):
             clean_src = wavio.read_wav(args.clean)
             if not np.any(clean_src.samples):
                 raise ValueError("silent clean input: SNR undefined")
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _reading(outdir):  # a dangling symlink passes the check above
+        outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     case = 0

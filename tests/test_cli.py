@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -13,9 +14,8 @@ import pytest
 
 import revkit
 from revkit import prior, simulate, stft, wavio
-from revkit.cli import main
-from revkit.config import (KEYS, PipelineConfig, build_config, dump_config,
-                           parse_config)
+from revkit.cli import (ENGINE_KEYS, _add_engine, _dump_config,
+                        _effective_config, _field, _parse_config, main)
 from synthcases import blind_case
 
 
@@ -174,13 +174,18 @@ def available_cpus():
     return os.cpu_count() or 1
 
 
+def engine_config(**values):
+    """(VemConfig, {key: value}) of an engine run whose flags set ``values``
+    and that reads no config file."""
+    return _effective_config(argparse.Namespace(config=None, **values))
+
+
 def test_threads_default_to_the_available_cpus(monkeypatch):
-    assert PipelineConfig().threads == available_cpus()
-    assert build_config({}).threads == available_cpus()
+    assert engine_config()[1]["threads"] == available_cpus()
     # counted when a configuration is built, not when revkit is imported
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert PipelineConfig().threads == 3
+        assert engine_config()[1]["threads"] == 3
 
 
 def test_default_threads_write_the_one_thread_bytes(tmp_path, identity_case):
@@ -236,13 +241,17 @@ def test_trace_csv(tmp_path, identity_case):
     ("seed = 0\n", [], "unknown key 'seed'"),
     ("win_length = 512\n", [],
      "invalid configuration: line 1: unknown key 'win_length'"),
+    ("\xffctf_len = 12\n", [],
+     "^invalid configuration: cannot read .*run\\.cfg: 'utf-8' codec "
+     "can't decode byte 0xff"),
 ], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file",
         "bad-value-file", "unknown-key-file", "missing-file",
-        "numerical-guard-file", "seed-file", "win-length-file"])
+        "numerical-guard-file", "seed-file", "win-length-file",
+        "not-utf8-file"])
 def test_invalid_config_value_exits_before_any_output(tmp_path, identity_case,
                                                       file_text, flags, key):
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(file_text)
+    cfg_path.write_bytes(file_text.encode("latin-1"))
     out = tmp_path / "o.wav"
     dumped = tmp_path / "dumped.cfg"
     with pytest.raises(SystemExit, match=key):
@@ -481,7 +490,7 @@ def test_every_command_runs_without_scipy(tmp_path):
 
 # Modules that only the engine commands, simulate, eval or the manifest
 # writer use; numpy and the interpreter load platform and threading anyway.
-ENGINE_MODULES = ("revkit.vem", "revkit.rir", "revkit.prior", "revkit.config",
+ENGINE_MODULES = ("revkit.vem", "revkit.rir", "revkit.prior",
                   "revkit.simulate", "revkit.evaluate", "concurrent.futures",
                   "hashlib", "json")
 
@@ -674,6 +683,26 @@ def test_simulate_rejects_bad_numbers_as_usage_errors(tmp_path, capsys, flag):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("outdir, clean, message", [
+    ("taken", None, "not a directory"),
+    ("taken/sub", None, "not a directory"),
+    ("taken/sub", "missing.wav", "not a directory"),
+    ("link", None, "File exists"),
+], ids=["existing-file", "below-a-file", "below-a-file-with-clean",
+        "dangling-symlink"])
+def test_simulate_rejects_an_unusable_output_directory(tmp_path, outdir,
+                                                       clean, message):
+    # checked before --clean is read: a missing source is not what ends it
+    (tmp_path / "taken").write_text("a file")
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", tmp_path / outdir, "--duration", "0.3",
+                *(["--clean", tmp_path / clean] if clean else []))
+    assert exc.value.code == f"{tmp_path / outdir}: {message}"
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_simulate_accepts_infinite_snr(tmp_path):
     # inf is the noise-free mixture, not a bad number
     assert run_cli("simulate", tmp_path, "--snr", "inf",
@@ -706,36 +735,40 @@ def test_params_commands_report_unreadable_files(tmp_path, command):
 
 
 def test_config_parsing():
-    values = parse_config("""
+    values = _parse_config("""
 # comment
 ctf_len = 12
 lambda = 0.5
 max_iters = 7
 """)
     assert values == {"ctf_len": 12, "lambda": 0.5, "max_iters": 7}
-    cfg = build_config(values)
-    assert cfg.vem.ctf_len == 12 and cfg.vem.ema == 0.5
-    assert cfg.vem.max_iters == 7
+    cfg, _ = engine_config(**values)
+    assert cfg.ctf_len == 12 and cfg.ema == 0.5
+    assert cfg.max_iters == 7
     with pytest.raises(ValueError, match="unknown key"):
-        parse_config("bogus = 1")
+        _parse_config("bogus = 1")
     with pytest.raises(ValueError, match="bad value"):
-        parse_config("ctf_len = abc")
+        _parse_config("ctf_len = abc")
 
 
 def test_config_dump_parses_back():
-    cfg = build_config({"ctf_len": 11, "lambda": 0.35, "threads": 3})
-    assert build_config(parse_config(dump_config(cfg))) == cfg
+    effective = engine_config(ctf_len=11, threads=3, **{"lambda": 0.35})
+    assert engine_config(**_parse_config(_dump_config(effective[1]))) == \
+        effective
 
 
 def test_config_keys_cover_every_setting():
-    # a setting missing from KEYS would be left out of every dump
-    targets = {(part, name) for part, name, _ in KEYS.values()}
-    assert len(targets) == len(KEYS)
-    assert targets == (
-        {("vem", f.name) for f in fields(revkit.VemConfig)}
-        | {(None, "threads")}
-    )
-    assert {f.name for f in fields(PipelineConfig)} == {"vem", "threads"}
+    # a setting missing from ENGINE_KEYS would be left out of every dump
+    targets = {_field(key) for key in ENGINE_KEYS}
+    assert len(targets) == len(ENGINE_KEYS)
+    assert targets == ({f.name for f in fields(revkit.VemConfig)}
+                       | {"threads"})
+    # each key has one flag, and that flag stores under the key
+    parser = argparse.ArgumentParser()
+    _add_engine(parser)
+    flags = [(a.dest, a.option_strings) for a in parser._actions
+             if a.dest in ENGINE_KEYS]
+    assert flags == [(key, [flag]) for key, (flag, _, _) in ENGINE_KEYS.items()]
 
 
 @pytest.mark.parametrize("command, flag", [

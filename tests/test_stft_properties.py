@@ -24,3 +24,17 @@ def test_forward_and_inverse_are_homogeneous(seed, n, k):
     assert np.array_equal(scaled.data, g * spec.data)
     assert np.array_equal(stft.inverse(scaled).samples,
                           g * stft.inverse(spec).samples)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(stft.WIN, 6000))
+def test_inverse_of_forward_is_the_input_on_the_interior(seed, n):
+    # n need not be a multiple of HOP: samples past the last full frame are
+    # not analyzed, and every sample that all WIN // HOP frames cover comes
+    # back to criterion 1's tolerance
+    x = np.random.default_rng(seed).standard_normal(n)
+    y = stft.inverse(stft.forward(revkit.Waveform(x))).samples
+    assert y.size == (stft.num_frames(n) - 1) * stft.HOP + stft.WIN
+    edge = stft.WIN - stft.HOP
+    err = np.linalg.norm(y[edge: y.size - edge] - x[edge: y.size - edge])
+    assert err <= 1e-6 * np.linalg.norm(x[edge: y.size - edge])
