@@ -121,31 +121,25 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
     ends = np.searchsorted(-db, -(db[starts] - RT60_END_DROP_DB))
     ok = (ends != n) & (ends - starts >= 2)
     starts, ends = starts[ok], ends[ok]
-    if starts.size:
-        score = _screen_abs_r(db, starts, ends)
-        keep = score >= score.max() - _SCREEN_MARGIN
-        starts, ends = starts[keep], ends[keep]
-    best = None
-    for s, e in zip(starts.tolist(), ends.tolist()):
+    if starts.size == 0:
+        raise InsufficientDecayError(
+            "insufficient decay range: no fit interval reaches "
+            f"{RT60_END_DROP_DB} dB of attenuation"
+        )
+    score = _screen_abs_r(db, starts, ends)
+    keep = score >= score.max() - _SCREEN_MARGIN
+    fits = []
+    for s, e in zip(starts[keep].tolist(), ends[keep].tolist()):
         # least-squares line and Pearson r from the biased (co)variances,
         # np.cov(x, y, bias=1)'s own arithmetic without its call overhead
         X = np.stack((np.arange(s, e + 1) / RATE, db[s: e + 1]))
         X -= X.mean(axis=1)[:, None]
         sxx, sxy, _, syy = ((X @ X.T) * (1.0 / X.shape[1])).flat
-        if sxx == 0.0 or syy == 0.0:
-            continue
+        # sxx > 0 (at least 3 samples); the curve never rises and falls
+        # RT60_END_DROP_DB over the segment, so syy > 0 and sxy < 0
         r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
-        slope = sxy / sxx
-        if slope >= 0.0:
-            continue
-        if best is None or abs(r) > abs(best[0]):
-            best = (r, slope, s, e)
-    if best is None:
-        raise InsufficientDecayError(
-            "insufficient decay range: no fit interval reaches "
-            f"{RT60_END_DROP_DB} dB of attenuation"
-        )
-    r, slope, s, e = best
+        fits.append((abs(r), r, sxy / sxx, s, e))
+    _, r, slope, s, e = max(fits, key=lambda fit: fit[0])  # first max wins
     return AcousticParams(rt60=-60.0 / slope, fit_start=s, fit_end=e,
                           pearson_r=float(r))
 

@@ -492,10 +492,10 @@ def _read_params_csv(path) -> list[tuple[float, float]]:
         }.issubset(set(reader.fieldnames)):
             raise SystemExit(f"{path}: need columns rt60_s and drr_db")
         for row in reader:
-            def _field(name):
+            def _cell(name):
                 text = (row.get(name) or "").strip()
                 return float(text) if text else float("nan")
-            pairs.append((_field("rt60_s"), _field("drr_db")))
+            pairs.append((_cell("rt60_s"), _cell("drr_db")))
     return pairs
 
 

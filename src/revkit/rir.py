@@ -39,6 +39,9 @@ SWEEP_F1 = 62.5       # Hz
 SWEEP_F2 = 8000.0     # Hz
 SWEEP_LEN = 131072    # samples: 8.192 s at RATE
 SWEEP_FADES = (256, 128)  # half-raised-cosine fade-in and fade-out, samples
+# max|conv(e, v)| of log_sweep() and its unscaled inverse filter, at index
+# SWEEP_LEN - 1: a constant of the fixed sweep, so no call convolves for it
+SWEEP_PEAK = 13346.592014944174
 
 
 @dataclass
@@ -75,14 +78,13 @@ def log_sweep() -> Waveform:
 
 
 def inverse_filter(sweep: Waveform) -> Waveform:
-    """Deconvolution filter for the sweep: its time reversal, amplitude
-    modulated by exp(-n ln(w2/w1) / N), scaled so conv(e, v) has unit peak."""
+    """Deconvolution filter for ``log_sweep()``: its time reversal, amplitude
+    modulated by exp(-n ln(w2/w1) / N), divided by SWEEP_PEAK so conv(e, v)
+    has unit peak."""
     N = sweep.samples.size
     ln_ratio = np.log(SWEEP_F2 / SWEEP_F1)
     env = np.exp(-np.arange(N) * ln_ratio / N)
-    v = sweep.samples[::-1] * env
-    peak = float(np.max(np.abs(_convolve(sweep.samples, v))))
-    return Waveform(v / peak)
+    return Waveform(sweep.samples[::-1] * env / SWEEP_PEAK)
 
 
 def delta_position(sweep: Waveform, inv: Waveform) -> int:

@@ -12,7 +12,8 @@ per-bin posterior updates which are blended with the previous iterate by
 an exponential moving average; the M-step solves per-band normal
 equations for the filter and a scalar update for the noise precision.
 Bands are fully independent, so everything is vectorized across rows and
-can be chunked over worker threads without changing any result; a band
+can be chunked over worker threads without changing any result: each
+block of bands writes its own rows of ``run``'s outputs in place. A band
 whose filter system is singular gets a larger jitter on its own, and
 ``run`` warns with the number of such band updates. ``run`` uses one
 thread unless told otherwise; the CLI gives it every CPU the process may
@@ -337,22 +338,22 @@ def _loglik_arrays(X, alpha, mu, gamma, h, delta):
     return _loglik_from_fit(np.log(alpha), alpha, mu, gamma, delta, fit)
 
 
-def _run_chunk(X, alpha, cfg):
-    """Full EM loop for one block of bands; returns best snapshots and trace."""
+def _run_chunk(X, alpha, cfg, S, H, trace):
+    """Full EM loop for one block of bands. Writes the block's best iterate,
+    its filter and the likelihood of every iteration into the block's own
+    rows ``S`` and ``H`` (S zero on entry) and columns ``trace``; returns the
+    number of solver fallbacks."""
     iters, L = cfg.max_iters, cfg.ctf_len
     mu, gamma, h, delta = _init_arrays(X, L)
-    # One spectrum of X per chunk; each mu's spectrum serves the M-step that
-    # follows its E-step and the next E-step. ||X||^2 and log alpha are
+    trace[0] = _loglik_arrays(X, alpha, mu, gamma, h, delta)
+    H[:] = h
+    # One spectrum of X for the whole loop; each mu's spectrum serves the
+    # M-step that follows its E-step and the next E-step. ||X||^2 and log alpha are
     # likewise fixed for the whole loop.
     FX, Fmu = _spectrum(X, L), _spectrum(mu, L)
     x2, log_alpha = _band_energy(X), np.log(alpha)
-    trace = np.empty((iters + 1, X.shape[0]))
-    fit = _fit(*_normal_equations(FX, mu, Fmu, gamma, L), x2, h[:, ::-1])
-    trace[0] = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit)
 
     best_ll = np.full(X.shape[0], -np.inf)
-    best_mu = np.zeros_like(mu)
-    best_h = h.copy()
     n_warn = 0
     for it in range(1, iters + 1):
         # No previous iterate exists at iteration 1; blending with the
@@ -366,9 +367,16 @@ def _run_chunk(X, alpha, cfg):
         trace[it] = ll
         better = ll > best_ll
         best_ll = np.where(better, ll, best_ll)
-        best_mu[better] = mu[better]
-        best_h[better] = h[better]
-    return best_mu, best_h, trace, n_warn
+        S[better] = mu[better]
+        H[better] = h[better]
+    return n_warn
+
+
+def _check_shapes(X, alpha):
+    if X.data.shape != alpha.shape:
+        raise ValueError(
+            f"observation {X.data.shape} and prior {alpha.shape} disagree"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +385,7 @@ def _run_chunk(X, alpha, cfg):
 def init(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig) -> VemState:
     """Uninformative start: gamma = 1/|X|^2, mu = 0, unit direct tap, and
     delta from the minimum per-band frame power."""
-    if X.data.shape != alpha.shape:
-        raise ValueError(
-            f"observation {X.data.shape} and prior {alpha.shape} disagree"
-        )
+    _check_shapes(X, alpha)
     mu, gamma, h, delta = _init_arrays(X.data, cfg.ctf_len)
     return VemState(
         posterior=Posterior(mu, gamma),
@@ -446,39 +451,28 @@ def run(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig,
         ``trace``: (max_iters + 1, F) likelihood values, row 0 evaluated
         at the initialization. Skipped bands are zero in ``S_hat`` and
         ``H_hat`` and NaN in ``trace``.
-    """
-    if X.data.shape != alpha.shape:
-        raise ValueError(
-            f"observation {X.data.shape} and prior {alpha.shape} disagree"
-        )
-    F, T = X.data.shape
-    skip = min(cfg.skip_low_bands, F)
 
+    Each block of ``_BAND_CHUNK`` bands runs on its own and writes its own
+    rows of ``S_hat`` and ``H_hat`` and columns of ``trace``; nothing is
+    collected or copied afterwards.
+    """
+    _check_shapes(X, alpha)
+    F, T = X.data.shape
     S = np.zeros((F, T), dtype=np.complex128)
     H = np.zeros((F, cfg.ctf_len), dtype=np.complex128)
     trace = np.full((cfg.max_iters + 1, F), np.nan)
 
-    chunks = [
-        slice(a, min(a + _BAND_CHUNK, F)) for a in range(skip, F, _BAND_CHUNK)
-    ]
-    n_warn = 0
-
-    def work(sl):
-        return _run_chunk(X.data[sl], alpha.alpha[sl], cfg)
+    def work(a):
+        sl = slice(a, a + _BAND_CHUNK)
+        return _run_chunk(X.data[sl], alpha.alpha[sl], cfg,
+                          S[sl], H[sl], trace[:, sl])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(work, chunks))
-
-    for sl, (best_mu, best_h, tr, w) in zip(chunks, results):
-        S[sl] = best_mu
-        H[sl] = best_h
-        trace[:, sl] = tr
-        n_warn += w
+        n_warn = sum(pool.map(work, range(cfg.skip_low_bands, F, _BAND_CHUNK)))
     if n_warn:
         warnings.warn(
             f"singular Gram matrix in {n_warn} update(s); jitter increased",
             RuntimeWarning,
         )
 
-    S_hat = Spectrogram(S)
-    return S_hat, CtfFilter(H), trace
+    return Spectrogram(S), CtfFilter(H), trace

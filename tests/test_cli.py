@@ -260,6 +260,19 @@ def test_invalid_config_value_exits_before_any_output(tmp_path, identity_case,
     assert not out.exists() and not dumped.exists()
 
 
+def test_config_line_without_equals_exits_with_one_line(tmp_path,
+                                                       identity_case):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("# engine\nmax_iters 5\n")
+    out = tmp_path / "o.wav"
+    proc = fresh_python("-m", "revkit.cli", "dereverb", identity_case, out,
+                        "--oracle", identity_case, "--config", cfg_path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("invalid configuration: line 2: expected "
+                           "'key = value'\n")
+    assert not out.exists()
+
+
 def test_dump_config_round_trip(tmp_path, identity_case):
     out1 = tmp_path / "o1.wav"
     out2 = tmp_path / "o2.wav"
@@ -532,11 +545,13 @@ print([after_import, status, after_rt60, vem.__name__, vem.run is revkit.run,
     ("simulate", "clean-not-wav", "not a RIFF/WAVE file"),
     ("simulate", "clean-silent", "silent clean input"),
     ("eval", "estimates-missing", "No such file or directory"),
+    ("eval", "estimates-no-columns", "need columns rt60_s and drr_db"),
 ], ids=["dereverb-input-not-wav", "dereverb-input-too-short",
         "dereverb-oracle-length", "dereverb-prior-bad-magic",
         "dereverb-prior-huge-header", "dereverb-input-missing",
         "identify-rir-oracle-missing", "simulate-clean-not-wav",
-        "simulate-clean-silent", "eval-estimates-missing"])
+        "simulate-clean-silent", "eval-estimates-missing",
+        "eval-estimates-no-columns"])
 def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
                                             fault, message):
     bad = tmp_path / "bad.wav"
@@ -555,6 +570,8 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
     missing = tmp_path / "missing.wav"
     params = tmp_path / "params.csv"
     params.write_text("rt60_s,drr_db\n0.5,3.0\n")
+    no_columns = tmp_path / "no_columns.csv"
+    no_columns.write_text("rt60,drr\n0.5,3.0\n")
 
     out = tmp_path / "out.wav"
     dump = ["--dump-config", tmp_path / "run.cfg"]
@@ -572,6 +589,7 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
         "clean-not-wav": (bad, [tmp_path / "data", "--clean", bad]),
         "clean-silent": (silent, [tmp_path / "data", "--clean", silent]),
         "estimates-missing": (missing, [missing, params]),
+        "estimates-no-columns": (no_columns, [no_columns, params]),
     }[fault]
     before = set(tmp_path.iterdir())
     engine = command in ("dereverb", "identify-rir")
@@ -607,6 +625,8 @@ def test_output_in_missing_directory_exits_before_the_engine(
     nowhere = tmp_path / "nodir" / "x.out"
     params = tmp_path / "params.csv"
     params.write_text("rt60_s,drr_db\n0.5,3.0\n")
+    no_columns = tmp_path / "no_columns.csv"
+    no_columns.write_text("rt60,drr\n0.5,3.0\n")
     out = nowhere if flag is None else tmp_path / "o.wav"
     argv = {"rt60": [command, identity_case], "drr": [command, identity_case],
             "eval": [command, params, params]}.get(

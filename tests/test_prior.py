@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,14 @@ def test_oracle_frame_mismatch():
     # one frame off is tolerated (padded with max-precision frames)
     p = prior.oracle_from_reference(ref, stft.TRANSFORM, expected_frames=T + 1)
     assert p.shape == (257, T + 1)
+    # or cropped; frames do not depend on the samples after them, so this is
+    # the prior of the reference cut one hop short
+    cut = revkit.Waveform(ref.samples[: -stft.HOP], 16000)
+    p = prior.oracle_from_reference(ref, stft.TRANSFORM, expected_frames=T - 1)
+    np.testing.assert_allclose(
+        p.alpha, prior.oracle_from_reference(cut, stft.TRANSFORM,
+                                             expected_frames=T - 1).alpha,
+        rtol=1e-12)
     with pytest.raises(ValueError, match="mismatch"):
         prior.oracle_from_reference(ref, stft.TRANSFORM,
                                     expected_frames=T + 2)
@@ -147,3 +157,17 @@ def test_vpri_bad_magic_and_truncation(tmp_path):
     good.write_bytes(data[:-8])
     with pytest.raises(ValueError, match="payload"):
         prior.load_prior_file(good)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"VPRI" + struct.pack("<II", 1, 4), "truncated VPRI header"),
+    (b"VPRI" + struct.pack("<III", 2, 4, 4), "unsupported VPRI version 2"),
+    (b"VPRI" + struct.pack("<III", 1, 0, 4), "invalid dimensions 0 x 4"),
+    (b"VPRI" + struct.pack("<III", 1, 4, 0), "invalid dimensions 4 x 0"),
+], ids=["truncated-header", "version-2", "no-bands", "no-frames"])
+def test_vpri_reader_rejects_bad_headers(tmp_path, header, message):
+    path = tmp_path / "bad.vpri"
+    path.write_bytes(header)  # each is rejected before the payload is sized
+    with pytest.raises(ValueError) as exc:
+        prior.load_prior_file(path)
+    assert str(exc.value) == f"{path}: {message}"

@@ -42,6 +42,18 @@ def test_inverse_filter_unit_peak_and_length():
     assert abs(np.max(np.abs(d)) - 1.0) < 1e-9
 
 
+def test_sweep_peak_is_the_peak_of_the_sweep_and_its_inverse():
+    # inverse_filter divides by the constant instead of convolving for it;
+    # FFT bits depend on the numpy build, so the recomputed peak is close,
+    # not equal
+    sweep = rir.log_sweep()
+    N = sweep.samples.size
+    env = np.exp(-np.arange(N) * np.log(rir.SWEEP_F2 / rir.SWEEP_F1) / N)
+    d = np.abs(stft._convolve(sweep.samples, sweep.samples[::-1] * env))
+    assert int(np.argmax(d)) == rir.SWEEP_LEN - 1
+    assert abs(d.max() - rir.SWEEP_PEAK) <= 1e-12 * rir.SWEEP_PEAK
+
+
 def test_sweep_meets_its_inverse_at_the_assumed_origin():
     # ctf_to_rir takes the deconvolution origin as SWEEP_LEN - 1 without
     # computing it

@@ -433,6 +433,15 @@ def test_run_thread_count_does_not_change_results():
         assert np.array_equal(tr, outs[0][2], equal_nan=True)
 
 
+@pytest.mark.parametrize("op", ["init", "run"])
+def test_prior_of_another_shape_is_rejected(op):
+    X = revkit.Spectrogram(np.ones((257, 10), complex))
+    alpha = revkit.PriorPrecision(np.ones((257, 9)))
+    with pytest.raises(ValueError) as exc:
+        getattr(vem, op)(X, alpha, vem.VemConfig())
+    assert str(exc.value) == "observation (257, 10) and prior (257, 9) disagree"
+
+
 def test_run_identity_channel_recovery():
     # noiseless identity with oracle prior: posterior mean locks onto the
     # observation and the filter onto the unit direct tap

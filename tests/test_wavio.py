@@ -77,6 +77,18 @@ def test_read_extensible_and_odd_chunk(tmp_path, dtype):
         assert np.array_equal(wavio.read_wav(path).samples, scipy_read(path))
 
 
+@pytest.mark.parametrize("body", [
+    fmt_body(1, 16)[:14],
+    extensible_body(1, 16)[:38],
+], ids=["fmt-14-bytes", "extensible-38-bytes"])
+def test_short_fmt_chunk_is_malformed(tmp_path, body):
+    path = tmp_path / "short_fmt.wav"
+    path.write_bytes(riff((b"fmt ", body), (b"data", b"\0\0")))
+    with pytest.raises(ValueError) as exc:
+        wavio.read_wav(path)
+    assert str(exc.value) == f"{path}: malformed fmt chunk"
+
+
 def test_not_riff_or_truncated_names_path(tmp_path):
     whole = tmp_path / "whole.wav"
     wavio.write_wav(whole, revkit.Waveform(np.ones(100), 16000))
