@@ -4,14 +4,15 @@ Subcommands: dereverb, identify-rir, rt60, drr, simulate, eval. Each
 parses only the flags it reads. The engine commands (dereverb,
 identify-rir) take their settings from a flat key = value config file
 (``--config``) and from flags that win over the file. ``ENGINE_KEYS`` is
-the one table of those settings: each key is a file key, the ``dest`` of
-its flag and its name in ``--dump-config`` output and the manifest. A bad
-file, key or value exits with "invalid configuration: ..." before any
-output; an output path that is a directory or whose directory is missing,
-or an input file that cannot be read or used, exits with status 1 and
-one line naming it. ``simulate`` takes no config file: its grid, source
-and ``--seed`` flags are all it reads, and a bad number is a usage error.
-Runs are deterministic given inputs, config and seed.
+the one table of those settings: each key sets a ``VemConfig`` field and is
+a file key, the ``dest`` of its flag and its name in ``--dump-config``
+output and the manifest. A bad file, key or value exits with "invalid
+configuration: ..." before any output; an output path that is a directory
+or whose directory is missing, or an input file that cannot be read or
+used, exits with status 1 and one line naming it. ``simulate`` takes no
+config file: its grid, source and ``--seed`` flags are all it reads, and a
+bad number is a usage error. Runs are deterministic given inputs, config
+and seed.
 
 Each command imports only the layers it runs: only the engine commands
 load the engine (``vem``, ``prior``, ``rir``), so ``rt60``, ``drr`` and
@@ -86,7 +87,7 @@ def _grid(item):
 
 # config key -> (flag, type, help), in the order of --help. The key is
 # also the flag's dest and its name in a dump and the manifest; each key
-# but "threads" sets the VemConfig field of its name ("lambda" sets ema).
+# sets the VemConfig field of its name ("lambda" sets ema).
 ENGINE_KEYS = {
     "max_iters": ("--iters", int, "VEM iterations"),
     "ctf_len": ("--ctf-len", int, "subband filter length in frames"),
@@ -153,8 +154,8 @@ def _parse_config(text: str) -> dict:
 def _effective_config(args, **defaults) -> tuple[VemConfig, dict]:
     """The command's ``defaults``, then the ``--config`` file, then flags.
 
-    Returns the engine's settings and {key: value} for every key of
-    ``ENGINE_KEYS``, as a dump and the manifest record them; ``threads``
+    Returns the ``VemConfig`` that every key of ``ENGINE_KEYS`` sets and
+    {key: value}, as a dump and the manifest record them; ``threads``
     defaults to the CPUs this process may use, counted here. The merged
     settings are validated once; a bad file, key or value ends the run
     before any input is read or any output is written.
@@ -170,15 +171,10 @@ def _effective_config(args, **defaults) -> tuple[VemConfig, dict]:
         values.update(_parse_config(text))
         values.update((k, v) for k, v in vars(args).items()
                       if k in ENGINE_KEYS)
-        threads = values.pop("threads")
         cfg = VemConfig(**{_field(k): v for k, v in values.items()})
-        if threads < 1:
-            raise ValueError("threads must be >= 1")
     except ValueError as exc:
         raise SystemExit(f"invalid configuration: {exc}") from None
-    settings = {key: threads if key == "threads" else getattr(cfg, _field(key))
-                for key in ENGINE_KEYS}
-    return cfg, settings
+    return cfg, {key: getattr(cfg, _field(key)) for key in ENGINE_KEYS}
 
 
 def _check_output_paths(*paths) -> None:
@@ -318,7 +314,7 @@ def _run_vem(args, cfg: VemConfig, settings: dict, *outputs):
     _write_dump(args, settings)
 
     t0 = time.perf_counter()
-    S_hat, H_hat, trace = vem.run(X, alpha, cfg, threads=settings["threads"])
+    S_hat, H_hat, trace = vem.run(X, alpha, cfg)
     timings["vem"] = time.perf_counter() - t0
     if args.trace is not None:
         _write_trace(args.trace, trace)

@@ -781,8 +781,7 @@ def test_config_keys_cover_every_setting():
     # a setting missing from ENGINE_KEYS would be left out of every dump
     targets = {_field(key) for key in ENGINE_KEYS}
     assert len(targets) == len(ENGINE_KEYS)
-    assert targets == ({f.name for f in fields(revkit.VemConfig)}
-                       | {"threads"})
+    assert targets == {f.name for f in fields(revkit.VemConfig)}
     # each key has one flag, and that flag stores under the key
     parser = argparse.ArgumentParser()
     _add_engine(parser)

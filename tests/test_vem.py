@@ -424,9 +424,9 @@ def test_run_thread_count_does_not_change_results():
     F, T = 257, 50
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
-    cfg = vem.VemConfig(ctf_len=4, max_iters=6)
-    outs = [vem.run(revkit.Spectrogram(X), revkit.PriorPrecision(A), cfg,
-                    threads=k) for k in (1, 4, 8)]
+    outs = [vem.run(revkit.Spectrogram(X), revkit.PriorPrecision(A),
+                    vem.VemConfig(ctf_len=4, max_iters=6, threads=k))
+            for k in (1, 4, 8)]
     for S, H, tr in outs[1:]:
         assert np.array_equal(S.data, outs[0][0].data)
         assert np.array_equal(H.h, outs[0][1].h)
@@ -508,3 +508,6 @@ def test_config_validation():
         vem.VemConfig(max_iters=0)
     with pytest.raises(ValueError):
         vem.VemConfig(ctf_len=0)
+    # the CLI's own message, so a flag and a library call fail alike
+    with pytest.raises(ValueError, match="^threads must be >= 1$"):
+        vem.VemConfig(threads=0)
