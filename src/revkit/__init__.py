@@ -16,8 +16,7 @@ _SOURCES = {
     **dict.fromkeys(("ScoreReport", "lsd", "score_rir_batch"), "evaluate"),
     **dict.fromkeys(("PriorPrecision", "from_magnitude", "load_prior_file",
                      "oracle_from_reference", "save_prior_file"), "prior"),
-    **dict.fromkeys(("RirEstimate", "ctf_to_rir", "inverse_filter",
-                     "log_sweep"), "rir"),
+    **dict.fromkeys(("ctf_to_rir", "inverse_filter", "log_sweep"), "rir"),
     **dict.fromkeys(("SynthRirSpec", "direct_path_reference", "mix",
                      "speech_like", "synth_rir", "white_noise"), "simulate"),
     **dict.fromkeys(("Spectrogram", "Waveform", "forward", "inverse"),

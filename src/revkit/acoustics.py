@@ -103,20 +103,20 @@ def estimate_rt60(h: Waveform) -> AcousticParams:
     n = db.size
     peak = int(np.argmax(np.abs(h.samples)))
 
-    below = np.nonzero(db[peak:] <= db[peak] - RT60_START_DB)[0]
-    if below.size == 0:
+    # The first fit start is the first sample RT60_START_DB below the peak
+    # level, and each fit end the first sample RT60_END_DROP_DB below its
+    # start: -db never falls, so a binary search finds each (n when none).
+    n5 = int(np.searchsorted(-db, -(db[peak] - RT60_START_DB)))
+    if n5 == n:
         raise InsufficientDecayError(
             "insufficient decay range: curve never drops "
             f"{RT60_START_DB} dB below the direct-path level"
         )
-    n5 = peak + int(below[0])
     n50 = peak + int(round(RT60_MAX_START_S * RATE))
     lo, hi = min(n5, n50), max(n5, n50)
     hi = min(hi, n - 2)
     stride = max(1, int(round(RT60_START_STRIDE_S * RATE)))
 
-    # each fit ends at the first sample RT60_END_DROP_DB below its start:
-    # -db never falls, so a binary search finds it (n when there is none)
     starts = np.arange(lo, hi + 1, stride)
     ends = np.searchsorted(-db, -(db[starts] - RT60_END_DROP_DB))
     ok = (ends != n) & (ends - starts >= 2)

@@ -7,12 +7,12 @@ identify-rir) take their settings from a flat key = value config file
 the one table of those settings: each key sets a ``VemConfig`` field and is
 a file key, the ``dest`` of its flag and its name in ``--dump-config``
 output and the manifest. A bad file, key or value exits with "invalid
-configuration: ..." before any output; an output path that is a directory
-or whose directory is missing, or an input file that cannot be read or
-used, exits with status 1 and one line naming it. ``simulate`` takes no
-config file: its grid, source and ``--seed`` flags are all it reads, and a
-bad number is a usage error. Runs are deterministic given inputs, config
-and seed.
+configuration: ..." before any output; an output path that is a directory,
+whose directory is missing or that names an input or another output, or
+an input file that cannot be read or used, exits with status 1 and one
+line naming it. ``simulate`` takes no config file: its grid, source and
+``--seed`` flags are all it reads, and a bad number is a usage error. Runs
+are deterministic given inputs, config and seed.
 
 Each command imports only the layers it runs: only the engine commands
 load the engine (``vem``, ``prior``, ``rir``), so ``rt60``, ``drr`` and
@@ -177,15 +177,22 @@ def _effective_config(args, **defaults) -> tuple[VemConfig, dict]:
     return cfg, {key: getattr(cfg, _field(key)) for key in ENGINE_KEYS}
 
 
-def _check_output_paths(*paths) -> None:
-    """Exit with status 1 and one line if an output path is a directory or
-    its directory is missing, so a run that cannot write its results never
-    starts."""
-    for path in filter(None, paths):
+def _check_output_paths(outputs, inputs) -> None:
+    """Exit with status 1 and one line if an output path is a directory, its
+    directory is missing, or, once resolved, it names one of the ``inputs``
+    or an earlier output, so a run that cannot write its results, or would
+    overwrite what it reads or writes, never starts. None stands for an
+    absent option. ``realpath`` resolves as ``Path.resolve()`` does, but
+    leaves a symlink loop for the read or write to report."""
+    taken = {os.path.realpath(p) for p in inputs if p is not None}
+    for path in filter(None, outputs):
         if Path(path).is_dir():
             raise SystemExit(f"{path}: is a directory")
         if not Path(path).parent.is_dir():
             raise SystemExit(f"{path}: no such directory")
+        if os.path.realpath(path) in taken:
+            raise SystemExit(f"{path}: is an input or another output")
+        taken.add(os.path.realpath(path))
 
 
 def _dump_config(settings: dict) -> str:
@@ -297,9 +304,10 @@ def _run_vem(args, cfg: VemConfig, settings: dict, *outputs):
     The engine sees the observation divided by its ``peak`` (1 for
     silence), the scale VPRI magnitudes refer to."""
     from . import vem
-    _check_output_paths(args.output, _manifest_path(args), args.trace,
-                        *outputs,
-                        None if args.dump_config == "-" else args.dump_config)
+    _check_output_paths(
+        [args.output, _manifest_path(args), args.trace, *outputs,
+         None if args.dump_config == "-" else args.dump_config],
+        [args.input, args.oracle, args.prior, args.config])
     timings = {}
     t0 = time.perf_counter()
     with _reading(args.input):
@@ -346,17 +354,17 @@ def cmd_identify_rir(args) -> int:
 
     t0 = time.perf_counter()
     est = rir.ctf_to_rir(H_hat)
-    wavio.write_wav(args.output, est.waveform)
+    wavio.write_wav(args.output, est)
     timings["reconstruction"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        res = acoustics.estimate_rt60(est.waveform)
+        res = acoustics.estimate_rt60(est)
     except acoustics.InsufficientDecayError as exc:
         print(f"rt60: {exc}", file=sys.stderr)
         res = acoustics.AcousticParams()
     try:
-        res.drr = acoustics.estimate_drr(est.waveform).drr
+        res.drr = acoustics.estimate_drr(est).drr
     except ValueError as exc:
         print(f"drr: {exc}", file=sys.stderr)
     timings["parameters"] = time.perf_counter() - t0
@@ -364,7 +372,7 @@ def cmd_identify_rir(args) -> int:
     _write_csv(args.params, ["rt60_s", "drr_db", "pearson_r", "fit_start",
                              "fit_end", "direct_index"],
                [[res.rt60, res.drr, res.pearson_r, res.fit_start, res.fit_end,
-                 est.direct_index]])
+                 int(np.argmax(np.abs(est.samples)))]])
 
     outputs = [args.output, args.params]
     if args.ctf_csv is not None:
@@ -389,7 +397,7 @@ def _params_batch(args, estimator, columns, describe) -> int:
     blank fields and exit status 1; the other inputs are still processed.
     An unusable ``--csv`` path ends the run before any input is read.
     """
-    _check_output_paths(args.csv)
+    _check_output_paths([args.csv], args.inputs)
     rows = []
     status = 0
     for p in args.inputs:
@@ -497,7 +505,7 @@ def _read_params_csv(path) -> list[tuple[float, float]]:
 
 def cmd_eval(args) -> int:
     from . import evaluate
-    _check_output_paths(args.csv)
+    _check_output_paths([args.csv], [args.estimates, args.references])
     est = _read_params_csv(args.estimates)
     ref = _read_params_csv(args.references)
     try:

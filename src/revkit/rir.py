@@ -26,7 +26,6 @@ filtered spectrogram and synthesis's frame and overlap-add buffers.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.fft import ifft
@@ -42,18 +41,6 @@ SWEEP_FADES = (256, 128)  # half-raised-cosine fade-in and fade-out, samples
 # max|conv(e, v)| of log_sweep() and its unscaled inverse filter, at index
 # SWEEP_LEN - 1: a constant of the fixed sweep, so no call convolves for it
 SWEEP_PEAK = 13346.592014944174
-
-
-@dataclass
-class RirEstimate:
-    """Reconstructed impulse response and the index of its direct-path peak."""
-
-    waveform: Waveform
-    direct_index: int
-
-    def __post_init__(self):
-        if not 0 <= self.direct_index < self.waveform.samples.size:
-            raise ValueError("direct_index out of bounds")
 
 
 def log_sweep() -> Waveform:
@@ -93,15 +80,14 @@ def delta_position(sweep: Waveform, inv: Waveform) -> int:
     return int(np.argmax(np.abs(_convolve(sweep.samples, inv.samples))))
 
 
-def ctf_to_rir(H: CtfFilter) -> RirEstimate:
+def ctf_to_rir(H: CtfFilter) -> Waveform:
     """Reconstruct an impulse-response waveform from (BINS, L) subband
     filter taps.
 
     Every band of ``H`` is used as given; a zero row (such as a band the
     engine excluded from inference) adds nothing to the estimate. The
     waveform is (L - 1) * HOP + 5 * WIN samples long: the filter's time
-    support plus 2 * WIN on each side, and the estimate carries the index
-    of its direct-path peak.
+    support plus 2 * WIN on each side.
     """
     h = H.h
     if h.shape[0] != BINS:
@@ -144,5 +130,4 @@ def ctf_to_rir(H: CtfFilter) -> RirEstimate:
     if not np.any(cropped):
         warnings.warn("all-zero filter produced an all-zero impulse response",
                       RuntimeWarning)
-    direct = int(np.argmax(np.abs(cropped)))
-    return RirEstimate(Waveform(cropped), direct)
+    return Waveform(cropped)

@@ -154,13 +154,12 @@ class VemState:
 # Array kernels. All operate on (F, T) rows independently.
 
 def _init_arrays(X, L):
-    power = X.real ** 2 + X.imag ** 2
-    gamma = 1.0 / np.maximum(power, POWER_FLOOR)
+    power = np.maximum(X.real ** 2 + X.imag ** 2, POWER_FLOOR)
+    gamma = 1.0 / power
     mu = np.zeros_like(X)
     h = np.zeros((X.shape[0], L), dtype=np.complex128)
     h[:, 0] = 1.0
-    delta = 1.0 / np.maximum(power.min(axis=1), POWER_FLOOR)
-    delta = np.minimum(delta, DELTA_CAP)
+    delta = np.minimum(1.0 / power.min(axis=1), DELTA_CAP)
     return mu, gamma, h, delta
 
 
@@ -350,13 +349,15 @@ def _run_chunk(X, alpha, cfg, S, H, trace):
     number of solver fallbacks."""
     iters, L = cfg.max_iters, cfg.ctf_len
     mu, gamma, h, delta = _init_arrays(X, L)
-    trace[0] = _loglik_arrays(X, alpha, mu, gamma, h, delta)
-    H[:] = h
-    # One spectrum of X for the whole loop; each mu's spectrum serves the
-    # M-step that follows its E-step and the next E-step. ||X||^2 and log alpha are
-    # likewise fixed for the whole loop.
+    # One spectrum of X for the whole block, trace row 0 included; each mu's
+    # spectrum serves the M-step that follows its E-step and the next
+    # E-step. ||X||^2 and log alpha are likewise computed once.
     FX, Fmu = _spectrum(X, L), _spectrum(mu, L)
     x2, log_alpha = _band_energy(X), np.log(alpha)
+    G, b = _normal_equations(FX, mu, Fmu, gamma, L)
+    trace[0] = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta,
+                                _fit(G, b, x2, h[:, ::-1]))
+    H[:] = h
 
     best_ll = np.full(X.shape[0], -np.inf)
     n_warn = 0
@@ -401,7 +402,11 @@ def init(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig) -> VemState:
 
 def e_step(state: VemState, X: Spectrogram, alpha: PriorPrecision,
            cfg: VemConfig) -> Posterior:
-    """Closed-form posterior update followed by the moving-average blend."""
+    """Closed-form posterior update followed by the moving-average blend.
+
+    It blends with ``cfg.ema`` from its first call, while ``run`` applies
+    the raw update at iteration 1, so ``init`` followed by ``e_step`` and
+    ``m_step`` replays ``run`` only at ``ema = 0``."""
     mu_pre, L = state.posterior.mu, state.filter.num_taps
     mu, gamma = _e_step_arrays(
         _spectrum(X.data, L), alpha.alpha, mu_pre, _spectrum(mu_pre, L),

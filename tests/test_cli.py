@@ -306,6 +306,8 @@ def test_identify_rir_writes_outputs(tmp_path):
     with open(params, newline="") as fh:
         row = next(csv.DictReader(fh))
     assert float(row["drr_db"]) > 0  # mostly-direct channel
+    # the direct path is the largest |sample| of the RIR WAV it wrote
+    assert int(row["direct_index"]) == np.argmax(np.abs(est.samples))
     with open(ctf_csv, newline="") as fh:
         n_rows = sum(1 for _ in fh) - 1
     assert n_rows == 257 * 30
@@ -683,6 +685,62 @@ def test_output_that_is_a_directory_exits_before_any_input_is_read(
         run_cli(*argv)
     assert exc.value.code == f"{taken}: is a directory"
     assert set(tmp_path.iterdir()) == before
+
+
+ENGINE_ARGS = ["--oracle", "ref.wav", "--config", "cfg.txt"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["dereverb", "in.wav", "in.wav", *ENGINE_ARGS], "in.wav"),
+    (["dereverb", "in.wav", "ref.wav", *ENGINE_ARGS], "ref.wav"),
+    (["dereverb", "in.wav", "o.wav", "--prior", "p.vpri", "--trace", "p.vpri"],
+     "p.vpri"),
+    (["dereverb", "in.wav", "o.wav", *ENGINE_ARGS, "--trace", "o.wav"],
+     "o.wav"),
+    (["dereverb", "in.wav", "o.wav", *ENGINE_ARGS,
+      "--trace", "o.wav.manifest.json"], "o.wav.manifest.json"),
+    (["dereverb", "in.wav", "o.wav", *ENGINE_ARGS, "--dump-config", "cfg.txt"],
+     "cfg.txt"),
+    (["dereverb", "in.wav", "link.wav", *ENGINE_ARGS], "link.wav"),
+    (["identify-rir", "in.wav", "o.wav", *ENGINE_ARGS, "--params", "o.wav"],
+     "o.wav"),
+    (["identify-rir", "in.wav", "o.wav", *ENGINE_ARGS, "--params", "p.csv",
+      "--ctf-csv", "in.wav"], "in.wav"),
+    (["identify-rir", "in.wav", "o.wav", *ENGINE_ARGS, "--params", "p.csv",
+      "--trace", "p.csv"], "p.csv"),
+    (["identify-rir", "in.wav", "o.wav", *ENGINE_ARGS, "--params", "p.csv",
+      "--dump-config", "sub/../p.csv"], "sub/../p.csv"),
+    (["rt60", "a.wav", "b.wav", "--csv", "b.wav"], "b.wav"),
+    (["drr", "a.wav", "--csv", "sub/../a.wav"], "sub/../a.wav"),
+    (["eval", "est.csv", "ref.csv", "--csv", "est.csv"], "est.csv"),
+    (["eval", "est.csv", "ref.csv", "--csv", "ref.csv"], "ref.csv"),
+], ids=["dereverb-output-is-input", "dereverb-output-is-oracle",
+        "dereverb-trace-is-prior", "dereverb-trace-is-output",
+        "dereverb-trace-is-manifest", "dereverb-dump-config-is-config",
+        "dereverb-output-links-to-input", "identify-rir-params-is-output",
+        "identify-rir-ctf-csv-is-input", "identify-rir-params-is-trace",
+        "identify-rir-dump-config-is-params", "rt60-csv-is-input",
+        "drr-csv-is-input", "eval-csv-is-estimates", "eval-csv-is-references"])
+def test_output_that_names_an_input_or_output_exits_before_any_input_is_read(
+        tmp_path, monkeypatch, argv, named):
+    # the inputs are not WAV or CSV files, so only a check made before they
+    # are read can end the run with this message; nothing is overwritten
+    monkeypatch.chdir(tmp_path)
+    for name in ("in.wav", "ref.wav", "p.vpri", "a.wav", "b.wav", "est.csv",
+                 "ref.csv"):
+        Path(name).write_bytes(name.encode())
+    Path("cfg.txt").write_text("")
+    Path("sub").mkdir()
+    Path("link.wav").symlink_to("in.wav")
+
+    def tree():
+        return {p: p.read_bytes() if p.is_file() else None
+                for p in Path().rglob("*")}
+    before = tree()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == f"{named}: is an input or another output"
+    assert tree() == before
 
 
 @pytest.mark.parametrize("flag", [

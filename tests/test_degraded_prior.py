@@ -93,8 +93,8 @@ def test_degraded_prior_keeps_parameter_errors_bounded(name):
     cut, perturb = RUNS[name]
     X, mag, (rt60_true, drr_true) = build_case(cut)
     *_, est = identify(X, perturb(mag))
-    rt60_err = acoustics.estimate_rt60(est.waveform).rt60 - rt60_true
-    drr_err = acoustics.estimate_drr(est.waveform).drr - drr_true
+    rt60_err = acoustics.estimate_rt60(est).rt60 - rt60_true
+    drr_err = acoustics.estimate_drr(est).drr - drr_true
     rt60_bound, drr_bound = BOUNDS[name]
     assert abs(rt60_err) <= rt60_bound, (name, rt60_err)
     assert abs(drr_err) <= drr_bound, (name, drr_err)
@@ -105,4 +105,4 @@ def test_observation_as_prior_stays_finite():
     S_hat, H_hat, trace, est = identify(X, np.abs(X.data))
     assert np.all(np.isfinite(S_hat.data)) and np.all(np.isfinite(H_hat.h))
     assert np.all(np.isfinite(trace[:, CFG.skip_low_bands:]))
-    assert np.all(np.isfinite(est.waveform.samples))
+    assert np.all(np.isfinite(est.samples))
