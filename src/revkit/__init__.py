@@ -21,9 +21,7 @@ _SOURCES = {
                      "speech_like", "synth_rir", "white_noise"), "simulate"),
     **dict.fromkeys(("Spectrogram", "Waveform", "forward", "inverse"),
                     "stft"),
-    **dict.fromkeys(("CtfFilter", "NoisePrecision", "Posterior", "VemConfig",
-                     "VemState", "e_step", "expected_loglik", "init",
-                     "m_step", "run"), "vem"),
+    **dict.fromkeys(("CtfFilter", "VemConfig", "run"), "vem"),
     **dict.fromkeys(("read_wav", "write_wav"), "wavio"),
 }
 __all__ = sorted(_SOURCES)

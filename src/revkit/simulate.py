@@ -46,8 +46,12 @@ class SynthRirSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rt60 <= 0:
+        if not self.rt60 > 0:
             raise ValueError("rt60 must be positive")
+        if self.rt60 == np.inf:
+            raise ValueError("rt60 must be finite")
+        if not self.drr > -np.inf:  # NaN or -inf; +inf is a pure impulse
+            raise ValueError("drr must be a number or +inf")
 
 
 def synth_rir(spec: SynthRirSpec) -> Waveform:
@@ -96,8 +100,8 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
     response plus noise scaled to the requested SNR.
 
     ``snr_db = +inf`` (or ``noise = None``) skips the noise entirely;
-    ``-inf`` and NaN are rejected. Noise shorter than the mixture is tiled.
-    SNR is defined over the full mixture length from mean powers.
+    ``-inf`` and NaN are rejected. Otherwise the noise must be as long as the
+    mixture. SNR is defined over the full mixture length from mean powers.
     """
     if np.isnan(snr_db) or snr_db == -np.inf:
         raise ValueError(f"snr_db must be a number or +inf, got {snr_db}")
@@ -106,12 +110,11 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
     sig = _convolve(clean.samples, rir.samples)
     if noise is None or snr_db == np.inf:
         return Waveform(sig)
-    if not np.any(noise.samples):
-        raise ValueError("silent noise input: cannot scale to target SNR")
     n = noise.samples
-    if n.size < sig.size:
-        n = np.tile(n, sig.size // n.size + 1)
-    n = n[: sig.size]
+    if n.size != sig.size:
+        raise ValueError(f"noise has {n.size} samples, mixture {sig.size}")
+    if not np.any(n):
+        raise ValueError("silent noise input: cannot scale to target SNR")
     p_sig = float(np.mean(sig ** 2))
     p_noise = float(np.mean(n ** 2))
     gain = np.sqrt(p_sig / p_noise * 10.0 ** (-snr_db / 10.0))

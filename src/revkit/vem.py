@@ -33,6 +33,8 @@ tracked every iteration and the iterate with the highest value is the one
 returned, so late-iteration drift cannot degrade the output. Its fit
 E||X - H * S||^2 always comes from the Gram form of the M-step's normal
 equations; in the loop it is the residual the M-step already computed.
+The step API, ``init`` to ``expected_loglik``, exists for ``bench/tracing.py``
+to time per kernel until ROADMAP item 1; ``revkit`` does not re-export it.
 """
 
 from __future__ import annotations

@@ -1,24 +1,32 @@
 """The benchmark under bench/ calls revkit functions by name; these tests
 keep every such name, and the shape of each call, alive."""
 
+import collections
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from revkit import (acoustics, evaluate, prior, rir, simulate, stft, vem,
                     wavio)
+from synthcases import blind_case
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def test_traced_layer_calls_exist():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_layer_calls_exist():
+    tracing = load_tracing()
     for module, names in tracing.LAYER_CALLS.items():
         lib = importlib.import_module(f"revkit.{module}")
         for name in names:
@@ -29,6 +37,21 @@ def test_step_api_exists():
     # bench/tracing.py times these kernels one call at a time
     for name in ("init", "e_step", "m_step", "expected_loglik"):
         assert callable(getattr(vem, name, None)), f"revkit.vem.{name}"
+
+
+def test_kernel_loop_times_each_step(tmp_path):
+    # the `--trace 1` per-kernel loop, on the bench's dereverb seed-0 case
+    _, _, reverb, direct = blind_case(0.3, -5.0, 10_000)
+    wavio.write_wav(tmp_path / "reverb.wav", reverb)
+    wavio.write_wav(tmp_path / "direct.wav", direct)
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    tracing.kernel_loop(tracer, tmp_path, SimpleNamespace(
+        reverb="reverb.wav", direct="direct.wav"))
+    spans = collections.Counter(rec["name"] for rec in tracer.spans)
+    assert spans == dict.fromkeys(
+        ("vem.e_step", "vem.m_step", "vem.expected_loglik"),
+        tracing.KERNEL_ITERS)
 
 
 @pytest.mark.parametrize("call, args, kwargs", [

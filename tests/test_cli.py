@@ -604,7 +604,8 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
     assert set(tmp_path.iterdir()) == before  # no output of any kind
 
 
-@pytest.mark.parametrize("command, flag", [
+# every (command, output flag) pair; None is the positional output
+OUTPUT_FLAGS = pytest.mark.parametrize("command, flag", [
     ("dereverb", None),
     ("dereverb", "--trace"),
     ("dereverb", "--dump-config"),
@@ -620,28 +621,51 @@ def test_bad_input_file_exits_with_one_line(tmp_path, identity_case, command,
         "identify-rir-output", "identify-rir-params", "identify-rir-ctf-csv",
         "identify-rir-trace", "identify-rir-dump-config", "rt60-csv",
         "drr-csv", "eval-csv"])
+
+
+def argv_writing_to(path, tmp_path, case, command, flag):
+    """``command``'s argv with ``path`` as the output ``flag`` names (None:
+    the positional output) and every other output in ``tmp_path``."""
+    params = tmp_path / "params.csv"
+    params.write_text("rt60_s,drr_db\n0.5,3.0\n")
+    out = path if flag is None else tmp_path / "o.wav"
+    argv = {"rt60": [command, case], "drr": [command, case],
+            "eval": [command, params, params]}.get(
+        command, [command, case, out, "--oracle", case])
+    if command == "identify-rir":
+        argv += ["--params",
+                 path if flag == "--params" else tmp_path / "p.csv"]
+    if flag not in (None, "--params"):
+        argv += [flag, path]
+    return argv
+
+
+@OUTPUT_FLAGS
 def test_output_in_missing_directory_exits_before_the_engine(
         tmp_path, identity_case, command, flag):
     # checked before any input is read, so the engine (or any other work)
     # never runs for results it cannot write, and nothing is left behind
     nowhere = tmp_path / "nodir" / "x.out"
-    params = tmp_path / "params.csv"
-    params.write_text("rt60_s,drr_db\n0.5,3.0\n")
-    no_columns = tmp_path / "no_columns.csv"
-    no_columns.write_text("rt60,drr\n0.5,3.0\n")
-    out = nowhere if flag is None else tmp_path / "o.wav"
-    argv = {"rt60": [command, identity_case], "drr": [command, identity_case],
-            "eval": [command, params, params]}.get(
-        command, [command, identity_case, out, "--oracle", identity_case])
-    if command == "identify-rir":
-        argv += ["--params",
-                 nowhere if flag == "--params" else tmp_path / "p.csv"]
-    if flag not in (None, "--params"):
-        argv += [flag, nowhere]
+    argv = argv_writing_to(nowhere, tmp_path, identity_case, command, flag)
     before = set(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == f"{nowhere}: no such directory"
+    assert set(tmp_path.iterdir()) == before
+
+
+@OUTPUT_FLAGS
+def test_output_symlink_loop_exits_before_the_engine(
+        tmp_path, identity_case, command, flag):
+    # a path that links to itself cannot be opened: found the same way, with
+    # one line and no traceback
+    loop = tmp_path / "loop.wav"
+    loop.symlink_to(loop)
+    argv = argv_writing_to(loop, tmp_path, identity_case, command, flag)
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == f"{loop}: Too many levels of symbolic links"
     assert set(tmp_path.iterdir()) == before
 
 

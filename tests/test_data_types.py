@@ -24,6 +24,10 @@ def rir_spec(rt60):
     return SynthRirSpec(rt60=rt60, drr=0.0)
 
 
+def rir_spec_drr(drr):
+    return SynthRirSpec(rt60=0.3, drr=drr)
+
+
 @pytest.mark.parametrize("make, bad, message", [
     (Waveform, np.zeros((2, 3)), "waveform must be one-dimensional (mono)"),
     (Waveform, np.zeros(0), "waveform must contain at least one sample"),
@@ -52,13 +56,18 @@ def rir_spec(rt60):
     (posterior, [1.0, np.nan], GAMMA),
     (rir_spec, 0.0, "rt60 must be positive"),
     (rir_spec, -0.5, "rt60 must be positive"),
+    (rir_spec, np.nan, "rt60 must be positive"),
+    (rir_spec, np.inf, "rt60 must be finite"),
+    (rir_spec_drr, np.nan, "drr must be a number or +inf"),
+    (rir_spec_drr, -np.inf, "drr must be a number or +inf"),
 ], ids=["waveform-2d", "waveform-empty", "waveform-inf", "spectrogram-1d",
         "spectrogram-bins", "spectrogram-nan", "prior-1d", "prior-zero",
         "prior-negative", "prior-inf", "prior-nan", "filter-1d",
         "filter-no-taps", "filter-nan", "filter-inf", "noise-zero",
         "noise-negative", "noise-inf", "noise-nan", "posterior-shapes",
         "posterior-zero", "posterior-inf", "posterior-nan", "rir-spec-zero",
-        "rir-spec-negative"])
+        "rir-spec-negative", "rir-spec-nan", "rir-spec-inf",
+        "rir-spec-drr-nan", "rir-spec-drr-minus-inf"])
 def test_constructor_rejects_bad_values(make, bad, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make(bad)
