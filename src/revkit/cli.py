@@ -351,7 +351,7 @@ def cmd_dereverb(args) -> int:
 
 def cmd_identify_rir(args) -> int:
     from . import rir
-    cfg, settings = _effective_config(args, max_iters=300)
+    cfg, settings = _effective_config(args, max_iters=150)
     _, H_hat, _, timings = _run_vem(args, cfg, settings, args.params,
                                     args.ctf_csv)
 
@@ -440,6 +440,9 @@ def cmd_simulate(args) -> int:
     # always exist
     if not next(p for p in (outdir, *outdir.parents) if p.exists()).is_dir():
         raise SystemExit(f"{outdir}: not a directory")
+    # exists() reads a symlink loop as absent; stat reports it
+    with _reading(outdir), contextlib.suppress(FileNotFoundError):
+        os.stat(outdir)
     clean_src = None
     if args.clean is not None:
         with _reading(args.clean):
@@ -567,9 +570,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="emit a synthetic test set")
     p.add_argument("outdir", type=Path)
     p.add_argument("--rt60", type=_grid(_positive_float), default="0.5",
-                   help="comma-separated RT60 grid in seconds")
+                   help="comma-separated RT60 grid in seconds (a list "
+                        "starting with '-' needs the --rt60=... form)")
     p.add_argument("--drr", type=_grid(_finite_float), default="5",
-                   help="comma-separated DRR grid in dB")
+                   help="comma-separated DRR grid in dB (a list starting "
+                        "with '-' needs the --drr=-5,5 form)")
     p.add_argument("--snr", type=_snr_db, default=20.0,
                    help="SNR in dB ('inf' for no noise)")
     p.add_argument("--duration", type=_duration, default=2.0,

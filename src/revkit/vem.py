@@ -155,13 +155,17 @@ class VemState:
 # ---------------------------------------------------------------------------
 # Array kernels. All operate on (F, T) rows independently.
 
-def _init_arrays(X, L):
-    power = np.maximum(X.real ** 2 + X.imag ** 2, POWER_FLOOR)
-    gamma = 1.0 / power
+def _init_arrays(X, alpha, L):
+    power = X.real ** 2 + X.imag ** 2
+    gamma = 1.0 / np.maximum(power, POWER_FLOOR)
     mu = np.zeros_like(X)
     h = np.zeros((X.shape[0], L), dtype=np.complex128)
     h[:, 0] = 1.0
-    delta = np.minimum(1.0 / power.min(axis=1), DELTA_CAP)
+    # The noise power starts as the band's mean power above the prior's,
+    # 1/alpha: trusting the observation instead leaves the engine in the
+    # trivial fit S = X. A band the prior explains starts at 1/POWER_FLOOR.
+    excess = np.mean(np.maximum(power - 1.0 / alpha, 0.0), axis=1)
+    delta = 1.0 / np.maximum(excess, POWER_FLOOR)
     return mu, gamma, h, delta
 
 
@@ -350,7 +354,7 @@ def _run_chunk(X, alpha, cfg, S, H, trace):
     rows ``S`` and ``H`` (S zero on entry) and columns ``trace``; returns the
     number of solver fallbacks."""
     iters, L = cfg.max_iters, cfg.ctf_len
-    mu, gamma, h, delta = _init_arrays(X, L)
+    mu, gamma, h, delta = _init_arrays(X, alpha, L)
     # One spectrum of X for the whole block, trace row 0 included; each mu's
     # spectrum serves the M-step that follows its E-step and the next
     # E-step. ||X||^2 and log alpha are likewise computed once.
@@ -364,8 +368,9 @@ def _run_chunk(X, alpha, cfg, S, H, trace):
     best_ll = np.full(X.shape[0], -np.inf)
     n_warn = 0
     for it in range(1, iters + 1):
-        # No previous iterate exists at iteration 1; blending with the
-        # uninformative start would wreck the initial noise precision.
+        # No previous iterate exists at iteration 1: the start's mu = 0 and
+        # variance |X|^2 are placeholders. Blended in, that variance would
+        # reach the first M-step's fit as noise and undo the start's delta.
         lam = cfg.ema if it > 1 else 0.0
         mu, gamma = _e_step_arrays(FX, alpha, mu, Fmu, gamma, h, delta, lam)
         Fmu = _spectrum(mu, L)
@@ -392,9 +397,10 @@ def _check_shapes(X, alpha):
 
 def init(X: Spectrogram, alpha: PriorPrecision, cfg: VemConfig) -> VemState:
     """Uninformative start: gamma = 1/|X|^2, mu = 0, unit direct tap, and
-    delta from the minimum per-band frame power."""
+    delta = 1 / max(mean_t max(|X|^2 - 1/alpha, 0), POWER_FLOOR) per band,
+    the power the prior leaves unexplained."""
     _check_shapes(X, alpha)
-    mu, gamma, h, delta = _init_arrays(X.data, cfg.ctf_len)
+    mu, gamma, h, delta = _init_arrays(X.data, alpha.alpha, cfg.ctf_len)
     return VemState(
         posterior=Posterior(mu, gamma),
         filter=CtfFilter(h),

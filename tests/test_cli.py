@@ -285,6 +285,17 @@ def test_dump_config_round_trip(tmp_path, identity_case):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("command, iters", [
+    ("dereverb", 100), ("identify-rir", 150)])
+def test_engine_commands_dump_their_default_iterations(
+        tmp_path, identity_case, capsys, command, iters):
+    params = ["--params", tmp_path / "p.csv"] if command == "identify-rir" \
+        else []
+    run_cli(command, identity_case, tmp_path / "o.wav", *params,
+            "--oracle", identity_case, "--dump-config", "-")
+    assert f"max_iters = {iters}\n" in capsys.readouterr().out
+
+
 def test_identify_rir_writes_outputs(tmp_path):
     clean = simulate.speech_like(1.5, 16000, seed=41)
     rir_true = simulate.synth_rir(
@@ -790,13 +801,15 @@ def test_simulate_rejects_bad_numbers_as_usage_errors(tmp_path, capsys, flag):
     ("taken/sub", None, "not a directory"),
     ("taken/sub", "missing.wav", "not a directory"),
     ("link", None, "File exists"),
+    ("loop", None, "Too many levels of symbolic links"),
 ], ids=["existing-file", "below-a-file", "below-a-file-with-clean",
-        "dangling-symlink"])
+        "dangling-symlink", "symlink-loop"])
 def test_simulate_rejects_an_unusable_output_directory(tmp_path, outdir,
                                                        clean, message):
     # checked before --clean is read: a missing source is not what ends it
     (tmp_path / "taken").write_text("a file")
     (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    (tmp_path / "loop").symlink_to(tmp_path / "loop")
     before = set(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", tmp_path / outdir, "--duration", "0.3",

@@ -23,9 +23,12 @@ def wiener_state(seed, F=257, T=4):
 def test_init_values():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((257, 10)) + 1j * rng.standard_normal((257, 10))
-    X[5] = 0.25  # constant magnitude band
+    X[5] = 0.25  # constant magnitude band, power below the prior's 1
+    X[6] = 3.0  # power 9 against the prior's 2: an excess of 7
     Xs = revkit.Spectrogram(X)
-    ap = revkit.PriorPrecision(np.ones((257, 10)))
+    alpha = np.ones((257, 10))
+    alpha[6] = 0.5
+    ap = revkit.PriorPrecision(alpha)
     cfg = vem.VemConfig(ctf_len=6, skip_low_bands=0)
     st = vem.init(Xs, ap, cfg)
     np.testing.assert_allclose(st.posterior.gamma, 1.0 / np.abs(X) ** 2,
@@ -35,9 +38,13 @@ def test_init_values():
     expected_h[0] = 1.0
     np.testing.assert_array_equal(
         st.filter.h, np.tile(expected_h, (257, 1)))
-    assert np.isclose(st.noise.delta[5], 16.0)  # 1 / 0.25^2
+    # delta = 1 / the mean power the prior leaves unexplained, floored
     np.testing.assert_allclose(
-        st.noise.delta, 1.0 / np.min(np.abs(X) ** 2, axis=1), rtol=1e-12)
+        st.noise.delta[5:7], [1.0 / prior.POWER_FLOOR, 1.0 / 7.0], rtol=1e-12)
+    excess = np.mean(np.maximum(np.abs(X) ** 2 - 1.0 / alpha, 0.0), axis=1)
+    np.testing.assert_allclose(
+        st.noise.delta, 1.0 / np.maximum(excess, prior.POWER_FLOOR),
+        rtol=1e-12)
 
 
 def test_init_all_zero_band_floored():
