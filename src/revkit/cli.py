@@ -10,7 +10,9 @@ output and the manifest. A bad file, key or value exits with "invalid
 configuration: ..." before any output; an output path that is a directory,
 whose directory is missing or that names an input or another output, or
 an input file that cannot be read or used, exits with status 1 and one
-line naming it. ``simulate`` takes no config file: its grid, source and
+line naming it. Every command checks each file it will write before it
+reads any input: ``simulate`` checks each case WAV of its grid and
+``manifest.csv``. ``simulate`` takes no config file: its grid, source and
 ``--seed`` flags are all it reads, and a bad number is a usage error. Runs
 are deterministic given inputs, config and seed.
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import os
 import sys
 import time
@@ -37,13 +40,6 @@ from . import __version__, acoustics, stft, wavio
 if TYPE_CHECKING:
     from . import prior
     from .vem import VemConfig
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
 
 
 def _finite_float(text: str) -> float:
@@ -443,6 +439,16 @@ def cmd_simulate(args) -> int:
     # exists() reads a symlink loop as absent; stat reports it
     with _reading(outdir), contextlib.suppress(FileNotFoundError):
         os.stat(outdir)
+    # case k: (stem, seed, rt60, drr), with its files named up front
+    cases = [(f"case{k:03d}", args.seed + k, rt60_v, drr_v)
+             for k, (rt60_v, drr_v)
+             in enumerate(itertools.product(args.rt60, args.drr))]
+    kinds = ("reverb", "direct", "rir")
+    manifest = outdir / "manifest.csv"
+    if outdir.exists():  # a directory that does not exist yet holds nothing
+        _check_output_paths([*(outdir / f"{stem}_{kind}.wav"
+                               for stem, *_ in cases for kind in kinds),
+                             manifest], [args.clean])
     clean_src = None
     if args.clean is not None:
         with _reading(args.clean):
@@ -453,43 +459,28 @@ def cmd_simulate(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    case = 0
-    for rep in range(args.count):
-        for rt60_v in args.rt60:
-            for drr_v in args.drr:
-                seed = args.seed + case
-                if clean_src is None:
-                    clean = simulate.speech_like(args.duration, stft.RATE,
-                                                 seed=seed + 10_000)
-                else:
-                    clean = clean_src
-                spec = simulate.SynthRirSpec(rt60=rt60_v, drr=drr_v,
-                                             seed=seed)
-                true_rir = simulate.synth_rir(spec)
-                noise = simulate.white_noise(
-                    clean.samples.size + true_rir.samples.size - 1, stft.RATE,
-                    seed=seed + 20_000)
-                reverb = simulate.mix(clean, true_rir, noise, args.snr)
-                direct = simulate.direct_path_reference(clean, true_rir)
+    for stem, seed, rt60_v, drr_v in cases:
+        if clean_src is None:
+            clean = simulate.speech_like(args.duration, stft.RATE,
+                                         seed=seed + 10_000)
+        else:
+            clean = clean_src
+        true_rir = simulate.synth_rir(
+            simulate.SynthRirSpec(rt60=rt60_v, drr=drr_v, seed=seed))
+        noise = simulate.white_noise(
+            clean.samples.size + true_rir.samples.size - 1, stft.RATE,
+            seed=seed + 20_000)
+        waves = {"reverb": simulate.mix(clean, true_rir, noise, args.snr),
+                 "direct": simulate.direct_path_reference(clean, true_rir),
+                 "rir": true_rir}
+        for kind in kinds:
+            wavio.write_wav(outdir / f"{stem}_{kind}.wav", waves[kind])
+        rows.append([stem, rt60_v, drr_v, args.snr, seed,
+                     *(f"{stem}_{kind}.wav" for kind in kinds)])
 
-                stem = f"case{case:03d}"
-                files = {
-                    "reverb": outdir / f"{stem}_reverb.wav",
-                    "direct": outdir / f"{stem}_direct.wav",
-                    "rir": outdir / f"{stem}_rir.wav",
-                }
-                wavio.write_wav(files["reverb"], reverb)
-                wavio.write_wav(files["direct"], direct)
-                wavio.write_wav(files["rir"], true_rir)
-                rows.append([stem, rt60_v, drr_v, args.snr, seed,
-                             files["reverb"].name, files["direct"].name,
-                             files["rir"].name])
-                case += 1
-
-    _write_csv(outdir / "manifest.csv",
-               ["case", "rt60_s", "drr_db", "snr_db", "seed",
-                "reverb_wav", "direct_wav", "rir_wav"], rows)
-    print(f"wrote {case} case(s) to {outdir}")
+    _write_csv(manifest, ["case", "rt60_s", "drr_db", "snr_db", "seed",
+                          "reverb_wav", "direct_wav", "rir_wav"], rows)
+    print(f"wrote {len(cases)} case(s) to {outdir}")
     return 0
 
 
@@ -579,8 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SNR in dB ('inf' for no noise)")
     p.add_argument("--duration", type=_duration, default=2.0,
                    help="source duration in seconds")
-    p.add_argument("--count", type=_positive_int, default=1,
-                   help="repetitions of the grid with fresh seeds")
     p.add_argument("--clean", type=Path, default=None,
                    help="use this WAV as the source instead of synthesizing")
     p.add_argument("--seed", type=int, default=0,

@@ -818,6 +818,59 @@ def test_simulate_rejects_an_unusable_output_directory(tmp_path, outdir,
     assert set(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("collision, message", [
+    ("reverb-directory", "is a directory"),
+    ("rir-symlink-loop", "Too many levels of symbolic links"),
+    ("manifest-directory", "is a directory"),
+    ("clean-is-an-output", "is an input or another output"),
+], ids=["reverb-directory", "rir-symlink-loop", "manifest-directory",
+        "clean-is-an-output"])
+def test_simulate_checks_each_output_before_it_writes(tmp_path, collision,
+                                                      message):
+    # each file the grid would write is checked as the other commands
+    # check theirs: one line, nothing written, the source untouched
+    outdir = tmp_path / "data"
+    outdir.mkdir()
+    clean = tmp_path / "src.wav"
+    wavio.write_wav(clean, simulate.speech_like(0.3, 16000, seed=3))
+    if collision == "reverb-directory":
+        path = outdir / "case000_reverb.wav"
+        path.mkdir()
+    elif collision == "rir-symlink-loop":
+        path = outdir / "case000_rir.wav"
+        path.symlink_to(path)
+    elif collision == "manifest-directory":
+        path = outdir / "manifest.csv"
+        path.mkdir()
+    else:
+        path = clean = outdir / "case000_direct.wav"
+        wavio.write_wav(clean, simulate.speech_like(0.3, 16000, seed=3))
+    before = sorted(outdir.iterdir()), clean.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", outdir, "--duration", "0.3", "--clean", clean)
+    assert exc.value.code == f"{path}: {message}"
+    assert (sorted(outdir.iterdir()), clean.read_bytes()) == before
+
+
+def test_simulate_uses_the_clean_source(tmp_path):
+    src = simulate.speech_like(0.5, 16000, seed=3)
+    wavio.write_wav(tmp_path / "src.wav", src)
+    outdir = tmp_path / "data"
+    assert run_cli("simulate", outdir, "--rt60", "0.3,0.5",
+                   "--clean", tmp_path / "src.wav") == 0
+    src = wavio.read_wav(tmp_path / "src.wav")
+    rirs = []
+    for stem in ("case000", "case001"):
+        rir = wavio.read_wav(outdir / f"{stem}_rir.wav")
+        direct = wavio.read_wav(outdir / f"{stem}_direct.wav").samples
+        expected = simulate.direct_path_reference(src, rir).samples
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(direct, expected, rtol=0,
+                                   atol=1e-6 * scale)
+        rirs.append(rir.samples)
+    assert rirs[0].shape != rirs[1].shape or np.any(rirs[0] != rirs[1])
+
+
 def test_simulate_accepts_infinite_snr(tmp_path):
     # inf is the noise-free mixture, not a bad number
     assert run_cli("simulate", tmp_path, "--snr", "inf",
@@ -889,10 +942,11 @@ def test_config_keys_cover_every_setting():
     ("simulate", ["--trace", "t.csv"]),
     ("simulate", ["--config", "x"]),
     ("simulate", ["--dump-config", "-"]),
+    ("simulate", ["--count", "2"]),
     ("dereverb", ["--seed", "5"]),
     ("identify-rir", ["--seed", "5"]),
 ], ids=["simulate-trace", "simulate-config", "simulate-dump-config",
-        "dereverb-seed", "identify-rir-seed"])
+        "simulate-count", "dereverb-seed", "identify-rir-seed"])
 def test_commands_reject_flags_they_do_not_read(tmp_path, identity_case,
                                                 command, flag):
     args = {
