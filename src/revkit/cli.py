@@ -347,7 +347,11 @@ def cmd_dereverb(args) -> int:
 
 def cmd_identify_rir(args) -> int:
     from . import rir
-    cfg, settings = _effective_config(args, max_iters=150)
+    # a lighter moving average lets the filter settle in fewer iterations;
+    # dereverb keeps 0.7, as a lighter one worsens its spectrum (ROADMAP
+    # item 2)
+    cfg, settings = _effective_config(args, **{"max_iters": 120,
+                                               "lambda": 0.6})
     _, H_hat, _, timings = _run_vem(args, cfg, settings, args.params,
                                     args.ctf_csv)
 
@@ -560,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="emit a synthetic test set")
     p.add_argument("outdir", type=Path)
-    p.add_argument("--rt60", type=_grid(_positive_float), default="0.5",
+    p.add_argument("--rt60", type=_grid(_duration), default="0.5",
                    help="comma-separated RT60 grid in seconds (a list "
                         "starting with '-' needs the --rt60=... form)")
     p.add_argument("--drr", type=_grid(_finite_float), default="5",

@@ -52,6 +52,10 @@ class SynthRirSpec:
             raise ValueError("rt60 must be finite")
         if not self.drr > -np.inf:  # NaN or -inf; +inf is a pure impulse
             raise ValueError("drr must be a number or +inf")
+        # without a tail sample the response is a pure impulse
+        if round(self.rt60 * RATE) < 1 and self.drr != np.inf:
+            raise ValueError("rt60 gives no tail sample at 16 kHz unless "
+                             "drr is +inf")
 
 
 def synth_rir(spec: SynthRirSpec) -> Waveform:

@@ -4,6 +4,13 @@ import numpy as np
 
 from revkit import simulate
 
+# The acceptance grid, and the 20 blind cases of criteria 6b/7b: the 16
+# cells plus one extra per RT60 value.
+RT_GRID = (0.3, 0.5, 0.8, 1.0)
+DRR_GRID = (-5.0, 0.0, 5.0, 10.0)
+BLIND_CASES = ([(rt, drr) for rt in RT_GRID for drr in DRR_GRID]
+               + [(0.3, 5.0), (0.5, 0.0), (0.8, -5.0), (1.0, 10.0)])
+
 
 def speechlike_tf_instance(seed, F=257, T=400, L=8, snr_db=30.0,
                            tap_decay=0.7, tap_scale=0.5):

@@ -13,7 +13,8 @@ import pytest
 import revkit
 from revkit import acoustics, evaluate, prior, rir, simulate, stft, vem, wavio
 from revkit.cli import main as cli_main
-from synthcases import blind_case, speechlike_tf_instance
+from synthcases import (BLIND_CASES, DRR_GRID, RT_GRID, blind_case,
+                        speechlike_tf_instance)
 
 
 def report(num, ok, detail):
@@ -140,10 +141,6 @@ def test_criterion_05_known_filter_recovery(known_filter_run):
 
 # -- 6 & 7: non-blind and blind parameter round trips ------------------------
 
-RT_GRID = (0.3, 0.5, 0.8, 1.0)
-DRR_GRID = (-5.0, 0.0, 5.0, 10.0)
-
-
 def test_criterion_06a_nonblind_rt60_grid():
     worst = 0.0
     for rt in RT_GRID:
@@ -171,11 +168,9 @@ def test_criterion_07a_nonblind_drr_grid():
 @pytest.fixture(scope="module")
 def blind_round_trip():
     """20 cases: the 16-cell grid plus one extra per RT60 value."""
-    cases = [(rt, drr) for rt in RT_GRID for drr in DRR_GRID]
-    cases += [(0.3, 5.0), (0.5, 0.0), (0.8, -5.0), (1.0, 10.0)]
     rt_errors, drr_errors = [], []
     t0 = time.perf_counter()
-    for k, (rt, drr) in enumerate(cases):
+    for k, (rt, drr) in enumerate(BLIND_CASES):
         seed = 1000 + 10 * k
         _, true_rir, reverb, direct = blind_case(rt, drr, seed,
                                                  snr_db=20.0, duration=3.2)

@@ -285,15 +285,18 @@ def test_dump_config_round_trip(tmp_path, identity_case):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("command, iters", [
-    ("dereverb", 100), ("identify-rir", 150)])
+@pytest.mark.parametrize("command, ema, iters", [
+    ("dereverb", 0.7, 100), ("identify-rir", 0.6, 120)],
+    ids=["dereverb-100", "identify-rir-120"])
 def test_engine_commands_dump_their_default_iterations(
-        tmp_path, identity_case, capsys, command, iters):
+        tmp_path, identity_case, capsys, command, ema, iters):
     params = ["--params", tmp_path / "p.csv"] if command == "identify-rir" \
         else []
     run_cli(command, identity_case, tmp_path / "o.wav", *params,
             "--oracle", identity_case, "--dump-config", "-")
-    assert f"max_iters = {iters}\n" in capsys.readouterr().out
+    dump = capsys.readouterr().out
+    assert f"lambda = {ema}\n" in dump
+    assert f"max_iters = {iters}\n" in dump
 
 
 def test_identify_rir_writes_outputs(tmp_path):
@@ -780,10 +783,12 @@ def test_output_that_names_an_input_or_output_exits_before_any_input_is_read(
 
 @pytest.mark.parametrize("flag", [
     ["--rt60", "abc"], ["--rt60", "0"], ["--rt60", "-1"], ["--rt60", ","],
-    ["--rt60", "0.5,inf"], ["--drr", "nan"], ["--drr", ""],
+    ["--rt60", "0.5,inf"], ["--rt60", "0.5,0.00003"], ["--drr", "nan"],
+    ["--drr", ""],
     ["--duration", "0"], ["--duration", "-1"], ["--duration", "inf"],
     ["--duration", "0.00001"], ["--snr", "nan"], ["--snr=-inf"],
 ], ids=["rt60-abc", "rt60-zero", "rt60-negative", "rt60-empty", "rt60-inf",
+        "rt60-no-sample",
         "drr-nan", "drr-empty", "duration-zero", "duration-negative",
         "duration-inf", "duration-no-sample", "snr-nan", "snr-minus-inf"])
 def test_simulate_rejects_bad_numbers_as_usage_errors(tmp_path, capsys, flag):

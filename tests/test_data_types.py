@@ -58,6 +58,8 @@ def rir_spec_drr(drr):
     (rir_spec, -0.5, "rt60 must be positive"),
     (rir_spec, np.nan, "rt60 must be positive"),
     (rir_spec, np.inf, "rt60 must be finite"),
+    (rir_spec, 3e-5,
+     "rt60 gives no tail sample at 16 kHz unless drr is +inf"),
     (rir_spec_drr, np.nan, "drr must be a number or +inf"),
     (rir_spec_drr, -np.inf, "drr must be a number or +inf"),
 ], ids=["waveform-2d", "waveform-empty", "waveform-inf", "spectrogram-1d",
@@ -67,7 +69,7 @@ def rir_spec_drr(drr):
         "noise-negative", "noise-inf", "noise-nan", "posterior-shapes",
         "posterior-zero", "posterior-inf", "posterior-nan", "rir-spec-zero",
         "rir-spec-negative", "rir-spec-nan", "rir-spec-inf",
-        "rir-spec-drr-nan", "rir-spec-drr-minus-inf"])
+        "rir-spec-no-tail", "rir-spec-drr-nan", "rir-spec-drr-minus-inf"])
 def test_constructor_rejects_bad_values(make, bad, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         make(bad)

@@ -13,6 +13,16 @@ def test_synth_rir_cap_level_drr_is_pure_impulse():
     assert h.samples[simulate.DIRECT_DELAY] == 1.0
 
 
+def test_synth_rir_without_a_tail_sample_is_an_infinite_drr_impulse():
+    # rt60 * 16000 rounds to 0: no tail, so only drr = +inf is the truth
+    h = simulate.synth_rir(simulate.SynthRirSpec(rt60=3e-5, drr=np.inf))
+    assert np.flatnonzero(h.samples).tolist() == [simulate.DIRECT_DELAY]
+    assert acoustics.estimate_drr(h).drr == acoustics.DRR_CAP_DB
+    # one tail sample is enough to carry a finite DRR
+    h = simulate.synth_rir(simulate.SynthRirSpec(rt60=1 / 16000, drr=0.0))
+    assert acoustics.estimate_drr(h).drr == pytest.approx(0.0, abs=1e-9)
+
+
 @pytest.mark.parametrize("rt60", [0.3, 0.5, 0.8, 1.0])
 @pytest.mark.parametrize("drr", [-5.0, 0.0, 5.0, 10.0])
 def test_synth_rir_round_trip_grid(rt60, drr):
