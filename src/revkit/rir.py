@@ -8,8 +8,8 @@ is analyzed, convolved with the filter taps along the frame axis in every
 band, resynthesized, and deconvolved with the sweep's inverse filter
 (time-reversed sweep with a -6 dB/octave amplitude envelope, after
 Farina). The deconvolved signal is the impulse-response estimate. The
-filter is used exactly as given: the engine leaves the bands it excluded
-from inference at zero, so nothing here needs to know which they were.
+filter is used exactly as given: the engine leaves the bands it skips
+(``vem.SKIP_LOW_BANDS``) at zero, so nothing here needs to know them.
 
 The sweep is fixed (62.5 Hz to 8 kHz over 8.192 s at ``stft.RATE``, with
 256- and 128-sample fades), and so is the crop: the filter's time

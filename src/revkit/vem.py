@@ -13,11 +13,11 @@ an exponential moving average; the M-step solves per-band normal
 equations for the filter and a scalar update for the noise precision.
 Bands are fully independent, so everything is vectorized across rows and
 can be chunked over worker threads without changing any result: each
-block of bands writes its own rows of ``run``'s outputs in place. A band
-whose filter system is singular gets a larger jitter on its own, and
-``run`` warns with the number of such band updates. ``run`` uses
-``VemConfig.threads`` workers, one unless set; the CLI sets every CPU the
-process may run on.
+block of bands from ``SKIP_LOW_BANDS`` up writes its own rows of ``run``'s
+outputs in place, and the rows below stay zero. A band whose filter
+system is singular gets a larger jitter on its own, and ``run`` warns
+with the number of such band updates. ``run`` uses ``VemConfig.threads``
+workers, one unless set; the CLI sets every CPU the process may run on.
 
 Boundary convention: frame indices outside [0, T) contribute zero
 observation, zero mean and zero variance everywhere.
@@ -56,6 +56,7 @@ from .stft import Spectrogram, _next_fast_len
 # CLI's peak RSS by 10-17 MB). ``rir.ctf_to_rir`` uses the same blocks.
 _BAND_CHUNK = 64
 
+SKIP_LOW_BANDS = 3  # bins 0, 31.25 and 62.5 Hz, where speech has no content
 # Numerical guards, not model parameters:
 DELTA_CAP = 1e12  # noise-precision ceiling, so a noiseless fit cannot overflow
 JITTER = 1e-8  # M-step Tikhonov term, relative to the mean Gram diagonal
@@ -115,9 +116,6 @@ class VemConfig:
     ema : smoothing factor in [0, 1); 0 applies raw updates, values near 1
         change the posterior very slowly.
     max_iters : number of EM iterations.
-    skip_low_bands : lowest bands excluded from inference (3: those below
-        94 Hz; their output spectrum and filter rows are zero; speech has
-        no content down there and the SNR is hopeless).
     threads : worker threads over blocks of bands; results never depend on it.
 
     The numerical guards are the module constants ``DELTA_CAP``,
@@ -127,7 +125,6 @@ class VemConfig:
     ctf_len: int = 30
     ema: float = 0.7
     max_iters: int = 100
-    skip_low_bands: int = 3
     threads: int = 1
 
     def __post_init__(self):
@@ -137,8 +134,6 @@ class VemConfig:
             raise ValueError("ema (lambda) must lie in [0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.skip_low_bands < 0:
-            raise ValueError("skip_low_bands must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -465,8 +460,8 @@ def run(X: Spectrogram, alpha: PriorPrecision,
         ``S_hat``: posterior-mean spectrum, per band from the iteration
         with the highest likelihood. ``H_hat``: matching filter rows.
         ``trace``: (max_iters + 1, F) likelihood values, row 0 evaluated
-        at the initialization. Skipped bands are zero in ``S_hat`` and
-        ``H_hat`` and NaN in ``trace``.
+        at the initialization. The ``SKIP_LOW_BANDS`` lowest bands are
+        zero in ``S_hat`` and ``H_hat`` and NaN in ``trace``.
 
     Each block of ``_BAND_CHUNK`` bands runs on its own and writes its own
     rows of ``S_hat`` and ``H_hat`` and columns of ``trace``; nothing is
@@ -484,7 +479,7 @@ def run(X: Spectrogram, alpha: PriorPrecision,
                           S[sl], H[sl], trace[:, sl])
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        n_warn = sum(pool.map(work, range(cfg.skip_low_bands, F, _BAND_CHUNK)))
+        n_warn = sum(pool.map(work, range(SKIP_LOW_BANDS, F, _BAND_CHUNK)))
     if n_warn:
         warnings.warn(
             f"singular Gram matrix in {n_warn} update(s); jitter increased",

@@ -52,7 +52,7 @@ def test_criterion_02_e_step_wiener_oracle():
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     alpha = rng.uniform(0.1, 10.0, (F, T))
     delta = rng.uniform(0.5, 50.0, F)
-    cfg = vem.VemConfig(ctf_len=1, ema=0.0, max_iters=1, skip_low_bands=0)
+    cfg = vem.VemConfig(ctf_len=1, ema=0.0, max_iters=1)
     state = vem.init(revkit.Spectrogram(X), revkit.PriorPrecision(alpha), cfg)
     state.noise = vem.NoisePrecision(delta)
     post = vem.e_step(state, revkit.Spectrogram(X), revkit.PriorPrecision(alpha),
@@ -106,7 +106,7 @@ def known_filter_run():
                                            snr_db=30.0)
     Xs = revkit.Spectrogram(Xn)
     ap = revkit.from_magnitude(np.abs(S))
-    cfg = vem.VemConfig(ctf_len=8, ema=0.7, max_iters=100, skip_low_bands=3)
+    cfg = vem.VemConfig(ctf_len=8, ema=0.7, max_iters=100)
     t0 = time.perf_counter()
     S_hat, H_hat, trace = vem.run(Xs, ap, cfg)
     elapsed = time.perf_counter() - t0
@@ -219,8 +219,8 @@ def test_criterion_08_linear_complexity():
         X = rng.standard_normal((257, T)) + 1j * rng.standard_normal((257, T))
         A = rng.uniform(0.5, 2.0, (257, T))
         cases[T] = (revkit.Spectrogram(X), revkit.PriorPrecision(A))
-    cfg21 = vem.VemConfig(ctf_len=30, max_iters=21, skip_low_bands=3)
-    cfg1 = vem.VemConfig(ctf_len=30, max_iters=1, skip_low_bands=3)
+    cfg21 = vem.VemConfig(ctf_len=30, max_iters=21)
+    cfg1 = vem.VemConfig(ctf_len=30, max_iters=1)
     samples = {T: [] for T in cases}
     for Xs, ap in cases.values():
         vem.run(Xs, ap, cfg1)  # warmup

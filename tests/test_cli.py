@@ -14,8 +14,9 @@ import pytest
 
 import revkit
 from revkit import prior, simulate, stft, wavio
-from revkit.cli import (ENGINE_KEYS, _add_engine, _dump_config,
-                        _effective_config, _field, _parse_config, main)
+from revkit.cli import (ENGINE_KEYS, IDENTIFY_RIR_DEFAULTS, _add_engine,
+                        _available_cpus, _dump_config, _effective_config,
+                        _field, _parse_config, main)
 from synthcases import blind_case
 
 
@@ -167,13 +168,6 @@ def test_threads_do_not_change_output_bytes(tmp_path, identity_case):
     assert outs[0] == outs[1] == outs[2]
 
 
-def available_cpus():
-    """The CPUs this process may run on, the engine commands' default."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def engine_config(**values):
     """(VemConfig, {key: value}) of an engine run whose flags set ``values``
     and that reads no config file."""
@@ -181,7 +175,7 @@ def engine_config(**values):
 
 
 def test_threads_default_to_the_available_cpus(monkeypatch):
-    assert engine_config()[1]["threads"] == available_cpus()
+    assert engine_config()[1]["threads"] == _available_cpus()
     # counted when a configuration is built, not when revkit is imported
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -205,9 +199,9 @@ def test_dump_records_the_resolved_thread_count(tmp_path, identity_case,
     run_cli("dereverb", identity_case, out1, "--oracle", identity_case,
             "--iters", "6", "--dump-config", "-")
     dumped = capsys.readouterr().out.removesuffix(f"wrote {out1}\n")
-    assert f"threads = {available_cpus()}\n" in dumped
+    assert f"threads = {_available_cpus()}\n" in dumped
     manifest = json.loads(Path(str(out1) + ".manifest.json").read_text())
-    assert manifest["config"]["threads"] == str(available_cpus())
+    assert manifest["config"]["threads"] == str(_available_cpus())
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(dumped)
     run_cli("dereverb", identity_case, out2, "--oracle", identity_case,
@@ -232,7 +226,8 @@ def test_trace_csv(tmp_path, identity_case):
 @pytest.mark.parametrize("file_text, flags, key", [
     ("threads = 0\n", [], "threads"),
     ("", ["--lambda", "1.5"], "lambda"),
-    ("", ["--skip-bands", "-1"], "skip_low_bands"),
+    ("skip_low_bands = 3\n", [],
+     "^invalid configuration: line 1: unknown key 'skip_low_bands'$"),
     ("hop = 100\n", [], "hop"),
     ("ctf_len = abc\n", [], "ctf_len"),
     ("bogus = 1\n", [], "bogus"),
@@ -244,7 +239,7 @@ def test_trace_csv(tmp_path, identity_case):
     ("\xffctf_len = 12\n", [],
      "^invalid configuration: cannot read .*run\\.cfg: 'utf-8' codec "
      "can't decode byte 0xff"),
-], ids=["threads-file", "lambda-flag", "skip-bands-flag", "hop-file",
+], ids=["threads-file", "lambda-flag", "skip-bands-file", "hop-file",
         "bad-value-file", "unknown-key-file", "missing-file",
         "numerical-guard-file", "seed-file", "win-length-file",
         "not-utf8-file"])
@@ -286,7 +281,9 @@ def test_dump_config_round_trip(tmp_path, identity_case):
 
 
 @pytest.mark.parametrize("command, ema, iters", [
-    ("dereverb", 0.7, 100), ("identify-rir", 0.6, 120)],
+    ("dereverb", 0.7, 100),
+    ("identify-rir", IDENTIFY_RIR_DEFAULTS["lambda"],
+     IDENTIFY_RIR_DEFAULTS["max_iters"])],
     ids=["dereverb-100", "identify-rir-120"])
 def test_engine_commands_dump_their_default_iterations(
         tmp_path, identity_case, capsys, command, ema, iters):
@@ -932,9 +929,11 @@ def test_config_dump_parses_back():
 
 def test_config_keys_cover_every_setting():
     # a setting missing from ENGINE_KEYS would be left out of every dump
+    # four: the skipped low bands are a constant, vem.SKIP_LOW_BANDS
     targets = {_field(key) for key in ENGINE_KEYS}
     assert len(targets) == len(ENGINE_KEYS)
-    assert targets == {f.name for f in fields(revkit.VemConfig)}
+    assert targets == {f.name for f in fields(revkit.VemConfig)} == {
+        "ctf_len", "ema", "max_iters", "threads"}
     # each key has one flag, and that flag stores under the key
     parser = argparse.ArgumentParser()
     _add_engine(parser)
@@ -950,8 +949,11 @@ def test_config_keys_cover_every_setting():
     ("simulate", ["--count", "2"]),
     ("dereverb", ["--seed", "5"]),
     ("identify-rir", ["--seed", "5"]),
+    ("dereverb", ["--skip-bands", "3"]),
+    ("identify-rir", ["--skip-bands", "3"]),
 ], ids=["simulate-trace", "simulate-config", "simulate-dump-config",
-        "simulate-count", "dereverb-seed", "identify-rir-seed"])
+        "simulate-count", "dereverb-seed", "identify-rir-seed",
+        "dereverb-skip-bands", "identify-rir-skip-bands"])
 def test_commands_reject_flags_they_do_not_read(tmp_path, identity_case,
                                                 command, flag):
     args = {

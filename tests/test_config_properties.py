@@ -16,7 +16,6 @@ VALID = {
     "ctf_len": st.integers(1, 10 ** 6),
     "lambda": st.floats(0.0, 1.0, exclude_max=True),
     "max_iters": st.integers(1, 10 ** 6),
-    "skip_low_bands": st.integers(0, 10 ** 6),
     "threads": st.integers(1, 1024),
 }
 
