@@ -124,13 +124,6 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
                         help="write per-band likelihood trace CSV here")
 
 
-def _available_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _parse_config(text: str) -> dict:
     """Parse ``key = value`` lines ('#' comments allowed) into {key: value}."""
     values = {}
@@ -154,10 +147,10 @@ def _effective_config(args, **defaults) -> tuple[VemConfig, dict]:
     """``VemConfig``, the command's ``defaults``, ``--config``, then flags.
 
     Returns the ``VemConfig`` that every key of ``ENGINE_KEYS`` sets and
-    {key: value}, as a dump and the manifest record them; ``threads``
-    defaults to the CPUs this process may use, counted here. The merged
-    settings are validated once; a bad file, key or value ends the run
-    before any input is read or any output is written.
+    {key: value}, as a dump and the manifest record them; a key none of
+    them sets keeps ``VemConfig``'s default. The merged settings are
+    validated once; a bad file, key or value ends the run before any input
+    is read or any output is written.
     """
     from .vem import VemConfig
     try:
@@ -165,9 +158,8 @@ def _effective_config(args, **defaults) -> tuple[VemConfig, dict]:
     except (OSError, ValueError) as exc:
         raise SystemExit("invalid configuration: cannot read "
                          + _fault(args.config, exc)) from None
-    values = {"threads": _available_cpus(), **defaults}
     try:
-        values.update(_parse_config(text))
+        values = {**defaults, **_parse_config(text)}
         values.update((k, v) for k, v in vars(args).items()
                       if k in ENGINE_KEYS)
         cfg = VemConfig(**{_field(k): v for k, v in values.items()})

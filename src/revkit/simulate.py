@@ -103,7 +103,7 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
     """Reverberant mixture: full convolution of clean with the impulse
     response plus noise scaled to the requested SNR.
 
-    ``snr_db = +inf`` (or ``noise = None``) skips the noise entirely;
+    ``snr_db = +inf`` alone skips the noise, and ``noise`` may then be None;
     ``-inf`` and NaN are rejected. Otherwise the noise must be as long as the
     mixture. SNR is defined over the full mixture length from mean powers.
     """
@@ -112,8 +112,10 @@ def mix(clean: Waveform, rir: Waveform, noise: Waveform | None,
     if not np.any(clean.samples):
         raise ValueError("silent clean input: SNR undefined")
     sig = _convolve(clean.samples, rir.samples)
-    if noise is None or snr_db == np.inf:
+    if snr_db == np.inf:
         return Waveform(sig)
+    if noise is None:
+        raise ValueError(f"no noise to mix at {snr_db} dB SNR")
     n = noise.samples
     if n.size != sig.size:
         raise ValueError(f"noise has {n.size} samples, mixture {sig.size}")

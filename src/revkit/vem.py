@@ -17,7 +17,7 @@ block of bands from ``SKIP_LOW_BANDS`` up writes its own rows of ``run``'s
 outputs in place, and the rows below stay zero. A band whose filter
 system is singular gets a larger jitter on its own, and ``run`` warns
 with the number of such band updates. ``run`` uses ``VemConfig.threads``
-workers, one unless set; the CLI sets every CPU the process may run on.
+workers, by default every CPU the process may use when the config is built.
 
 Boundary convention: frame indices outside [0, T) contribute zero
 observation, zero mean and zero variance everywhere.
@@ -39,9 +39,10 @@ to time per kernel until ROADMAP item 1; ``revkit`` does not re-export it.
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import fft, ifft, rfft
@@ -108,6 +109,13 @@ class Posterior:
             raise ValueError("gamma must be finite and positive")
 
 
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class VemConfig:
     """Engine settings.
@@ -116,7 +124,7 @@ class VemConfig:
     ema : smoothing factor in [0, 1); 0 applies raw updates, values near 1
         change the posterior very slowly.
     max_iters : number of EM iterations.
-    threads : worker threads over blocks of bands; results never depend on it.
+    threads : worker threads, by default every usable CPU; never alters results.
 
     The numerical guards are the module constants ``DELTA_CAP``,
     ``JITTER`` and ``prior.POWER_FLOOR``.
@@ -125,7 +133,7 @@ class VemConfig:
     ctf_len: int = 30
     ema: float = 0.7
     max_iters: int = 100
-    threads: int = 1
+    threads: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):
         if self.ctf_len < 1:

@@ -11,7 +11,9 @@ divided by the observation's peak.
 identify-rir, on
 
 - the 20 blind cases of criteria 6b/7b at case-seed bases 1000, 5000 and
-  9000 (case k of a base uses seed base + 10 k);
+  9000 (case k of a base uses seed base + 10 k); at identify-rir's own
+  pair, "grid 1000" is criteria 6b/7b's cases at their settings (the
+  criteria run ``revkit identify-rir`` on the cases' WAV files);
 - the benchmark's ``identify-rir-t2`` cell, RT60 0.8 s and DRR 0 dB, at
   bench seeds 0-19 (case seed 20000 + 10 seed).
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from revkit import simulate
+from revkit import simulate, stft
 
 # The acceptance grid, and the 20 blind cases of criteria 6b/7b: the 16
 # cells plus one extra per RT60 value.
@@ -46,15 +46,15 @@ def speechlike_tf_instance(seed, F=257, T=400, L=8, snr_db=30.0,
     return S, H, X + W
 
 
-def blind_case(rt60, drr, case_seed, snr_db=20.0, duration=3.2, fs=16000):
+def blind_case(rt60, drr, case_seed, snr_db=20.0, duration=3.2):
     """One simulate-module scenario: clean source, true RIR, mixture and
     aligned direct-path reference."""
-    clean = simulate.speech_like(duration, fs, seed=case_seed)
+    clean = simulate.speech_like(duration, stft.RATE, seed=case_seed)
     true_rir = simulate.synth_rir(
         simulate.SynthRirSpec(rt60=rt60, drr=drr, seed=case_seed + 1)
     )
     noise = simulate.white_noise(
-        clean.samples.size + true_rir.samples.size - 1, fs,
+        clean.samples.size + true_rir.samples.size - 1, stft.RATE,
         seed=case_seed + 2,
     )
     reverb = simulate.mix(clean, true_rir, noise, snr_db)

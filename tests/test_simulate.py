@@ -103,6 +103,15 @@ def test_mix_rejects_noise_of_another_length():
             simulate.mix(clean, rir, noise, 10.0)
 
 
+def test_mix_at_a_finite_snr_needs_noise():
+    # only snr_db = +inf skips the noise; a missing noise must not turn a
+    # requested SNR into the noiseless mixture
+    clean = simulate.white_noise(1000, 16000, seed=1)
+    rir = revkit.Waveform(np.array([1.0]), 16000)
+    with pytest.raises(ValueError, match="^no noise to mix at 20.0 dB SNR$"):
+        simulate.mix(clean, rir, None, 20.0)
+
+
 def test_direct_path_reference_delta():
     rng = np.random.default_rng(7)
     clean = revkit.Waveform(rng.standard_normal(2000), 16000)

@@ -1,10 +1,12 @@
+import argparse
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import revkit
-from revkit import prior, vem
+from revkit import cli, prior, vem
 from synthcases import speechlike_tf_instance
 
 RUN_BANDS = slice(vem.SKIP_LOW_BANDS, None)  # the bands vem.run runs
@@ -410,12 +412,13 @@ def test_singular_band_leaves_the_other_bands_bit_identical(monkeypatch):
     # one band's first filter system is made to fail the solve; only that
     # band may be re-solved with raised jitter, the others keep their bits
     # the first solve is the first band chunk's, which holds band ``bad``
-    # at row ``bad`` - SKIP_LOW_BANDS
+    # at row ``bad`` - SKIP_LOW_BANDS; with one worker no other block can
+    # make it
     _, _, X = speechlike_tf_instance(17, F=257, T=80, L=5)
     Xs = revkit.Spectrogram(X)
     A = revkit.PriorPrecision(
         np.random.default_rng(17).uniform(0.5, 2.0, X.shape))
-    cfg = vem.VemConfig(ctf_len=5, max_iters=10)
+    cfg = vem.VemConfig(ctf_len=5, max_iters=10, threads=1)
     S0, H0, tr0 = vem.run(Xs, A, cfg)
 
     solve, bad, target = np.linalg.solve, 10, []
@@ -528,6 +531,15 @@ def test_run_likelihood_improves_from_init():
     cfg = vem.VemConfig(ctf_len=8, max_iters=30)
     _, _, trace = vem.run(Xs, ap, cfg)
     assert np.nansum(trace[-1]) > np.nansum(trace[0])
+
+
+def test_threads_default_to_the_cpus_counted_at_construction(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert vem.VemConfig().threads == 3
+    # the CLI adds no default of its own: no file and no flags is VemConfig()
+    args = argparse.Namespace(config=None)
+    assert cli._effective_config(args)[0] == vem.VemConfig()
 
 
 def test_config_validation():
