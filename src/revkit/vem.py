@@ -33,8 +33,9 @@ tracked every iteration and the iterate with the highest value is the one
 returned, so late-iteration drift cannot degrade the output. Its fit
 E||X - H * S||^2 always comes from the Gram form of the M-step's normal
 equations; in the loop it is the residual the M-step already computed.
-The step API, ``init`` to ``expected_loglik``, exists for ``bench/tracing.py``
-to time per kernel until ROADMAP item 1; ``revkit`` does not re-export it.
+One iteration is ``_step``. The step API, ``init`` to ``expected_loglik``,
+is used only by ``bench/tracing.py``, to time per kernel, until ROADMAP
+item 1 removes it; ``revkit`` does not re-export it.
 """
 
 from __future__ import annotations
@@ -344,11 +345,27 @@ def _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit):
     return mu.shape[1] * np.log(delta) - delta * fit + prior_term
 
 
-def _loglik_arrays(X, alpha, mu, gamma, h, delta):
+def _loglik(FX, x2, alpha, log_alpha, mu, Fmu, gamma, h, delta):
+    """Per-band likelihood of the state (mu, Fmu, gamma, h, delta), its fit
+    by the Gram form. x2 is the ``_band_energy`` of the observation, FX and
+    Fmu the ``_spectrum`` of it and of mu, log_alpha np.log(alpha)."""
+    G, b = _normal_equations(FX, mu, Fmu, gamma, h.shape[1])
+    return _loglik_from_fit(log_alpha, alpha, mu, gamma, delta,
+                            _fit(G, b, x2, h[:, ::-1]))
+
+
+def _step(FX, x2, alpha, log_alpha, state, lam):
+    """One EM iteration from state = (mu, Fmu, gamma, h, delta), inputs as
+    for ``_loglik``: E-step blended by lam, the new mean's spectrum, M-step,
+    likelihood at the M-step's residual. Returns the next state, its
+    per-band likelihood and the number of solver fallbacks."""
+    mu, Fmu, gamma, h, delta = state
     L = h.shape[1]
-    G, b = _normal_equations(_spectrum(X, L), mu, _spectrum(mu, L), gamma, L)
-    fit = _fit(G, b, _band_energy(X), h[:, ::-1])
-    return _loglik_from_fit(np.log(alpha), alpha, mu, gamma, delta, fit)
+    mu, gamma = _e_step_arrays(FX, alpha, mu, Fmu, gamma, h, delta, lam)
+    Fmu = _spectrum(mu, L)
+    delta, h, n_warn, fit = _m_step_arrays(x2, FX, mu, Fmu, gamma, L)
+    ll = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit)
+    return (mu, Fmu, gamma, h, delta), ll, n_warn
 
 
 def _run_chunk(X, alpha, cfg, S, H, trace):
@@ -356,35 +373,27 @@ def _run_chunk(X, alpha, cfg, S, H, trace):
     its filter and the likelihood of every iteration into the block's own
     rows ``S`` and ``H`` (S zero on entry) and columns ``trace``; returns the
     number of solver fallbacks."""
-    iters, L = cfg.max_iters, cfg.ctf_len
+    L = cfg.ctf_len
     mu, gamma, h, delta = _init_arrays(X, alpha, L)
-    # One spectrum of X for the whole block, trace row 0 included; each mu's
-    # spectrum serves the M-step that follows its E-step and the next
-    # E-step. ||X||^2 and log alpha are likewise computed once.
-    FX, Fmu = _spectrum(X, L), _spectrum(mu, L)
-    x2, log_alpha = _band_energy(X), np.log(alpha)
-    G, b = _normal_equations(FX, mu, Fmu, gamma, L)
-    trace[0] = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta,
-                                _fit(G, b, x2, h[:, ::-1]))
+    # One spectrum of X, ||X||^2 and log alpha for the whole block.
+    inputs = (_spectrum(X, L), _band_energy(X), alpha, np.log(alpha))
+    state = (mu, _spectrum(mu, L), gamma, h, delta)
+    trace[0] = _loglik(*inputs, *state)
     H[:] = h
 
     best_ll = np.full(X.shape[0], -np.inf)
     n_warn = 0
-    for it in range(1, iters + 1):
+    for it in range(1, cfg.max_iters + 1):
         # No previous iterate exists at iteration 1: the start's mu = 0 and
         # variance |X|^2 are placeholders. Blended in, that variance would
         # reach the first M-step's fit as noise and undo the start's delta.
-        lam = cfg.ema if it > 1 else 0.0
-        mu, gamma = _e_step_arrays(FX, alpha, mu, Fmu, gamma, h, delta, lam)
-        Fmu = _spectrum(mu, L)
-        delta, h, w, fit = _m_step_arrays(x2, FX, mu, Fmu, gamma, L)
+        state, ll, w = _step(*inputs, state, cfg.ema if it > 1 else 0.0)
         n_warn += w
-        ll = _loglik_from_fit(log_alpha, alpha, mu, gamma, delta, fit)
         trace[it] = ll
         better = ll > best_ll
         best_ll = np.where(better, ll, best_ll)
-        S[better] = mu[better]
-        H[better] = h[better]
+        S[better] = state[0][better]
+        H[better] = state[3][better]
     return n_warn
 
 
@@ -417,7 +426,8 @@ def e_step(state: VemState, X: Spectrogram, alpha: PriorPrecision,
 
     It blends with ``cfg.ema`` from its first call, while ``run`` applies
     the raw update at iteration 1, so ``init`` followed by ``e_step`` and
-    ``m_step`` replays ``run`` only at ``ema = 0``."""
+    ``m_step`` replays ``run`` only at ``ema = 0``; ``_step`` is the
+    iteration ``run`` makes."""
     mu_pre, L = state.posterior.mu, state.filter.num_taps
     mu, gamma = _e_step_arrays(
         _spectrum(X.data, L), alpha.alpha, mu_pre, _spectrum(mu_pre, L),
@@ -443,10 +453,10 @@ def m_step(state: VemState, X: Spectrogram,
 def expected_loglik(state: VemState, X: Spectrogram,
                     alpha: PriorPrecision) -> np.ndarray:
     """Per-band expected complete-data log-likelihood, constants dropped."""
-    return _loglik_arrays(
-        X.data, alpha.alpha, state.posterior.mu, state.posterior.gamma,
-        state.filter.h, state.noise.delta,
-    )
+    mu, L = state.posterior.mu, state.filter.num_taps
+    return _loglik(_spectrum(X.data, L), _band_energy(X.data), alpha.alpha,
+                   np.log(alpha.alpha), mu, _spectrum(mu, L),
+                   state.posterior.gamma, state.filter.h, state.noise.delta)
 
 
 def run(X: Spectrogram, alpha: PriorPrecision,

@@ -53,15 +53,15 @@ def test_criterion_02_e_step_wiener_oracle():
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     alpha = rng.uniform(0.1, 10.0, (F, T))
     delta = rng.uniform(0.5, 50.0, F)
-    cfg = vem.VemConfig(ctf_len=1, ema=0.0, max_iters=1)
-    state = vem.init(revkit.Spectrogram(X), revkit.PriorPrecision(alpha), cfg)
-    state.noise = vem.NoisePrecision(delta)
-    post = vem.e_step(state, revkit.Spectrogram(X), revkit.PriorPrecision(alpha),
-                      cfg)
+    # the engine's start at L = 1 with a chosen noise precision, one raw
+    # (lambda = 0) E-step
+    mu, gamma, h, _ = vem._init_arrays(X, alpha, 1)
+    mu, gamma = vem._e_step_arrays(vem._spectrum(X, 1), alpha, mu,
+                                   vem._spectrum(mu, 1), gamma, h, delta, 0.0)
     gamma_oracle = alpha + delta[:, None]
     mu_oracle = delta[:, None] * X / (alpha + delta[:, None])
-    g_err = np.max(np.abs(post.gamma - gamma_oracle) / gamma_oracle)
-    m_err = np.max(np.abs(post.mu - mu_oracle) / np.abs(mu_oracle))
+    g_err = np.max(np.abs(gamma - gamma_oracle) / gamma_oracle)
+    m_err = np.max(np.abs(mu - mu_oracle) / np.abs(mu_oracle))
     report(2, g_err < 1e-12 and m_err < 1e-12,
            f"{F * T} bins, gamma err {g_err:.2e}, mu err {m_err:.2e}")
 

@@ -12,18 +12,30 @@ from synthcases import speechlike_tf_instance
 RUN_BANDS = slice(vem.SKIP_LOW_BANDS, None)  # the bands vem.run runs
 
 
+def start(X, alpha, L):
+    """The inputs ``_run_chunk`` hands every ``_step`` and ``_loglik``, and
+    the start state (mu, Fmu, gamma, h, delta) from ``_init_arrays``."""
+    mu, gamma, h, delta = vem._init_arrays(X, alpha, L)
+    inputs = (vem._spectrum(X, L), vem._band_energy(X), alpha, np.log(alpha))
+    return inputs, (mu, vem._spectrum(mu, L), gamma, h, delta)
+
+
+def loglik(X, alpha, mu, gamma, h, delta):
+    """``_loglik`` fed with the spectra ``_run_chunk`` gives it."""
+    inputs, _ = start(X, alpha, h.shape[1])
+    Fmu = vem._spectrum(mu, h.shape[1])
+    return vem._loglik(*inputs, mu, Fmu, gamma, h, delta)
+
+
 def wiener_state(seed, F=257, T=4):
-    """Initialized state with L=1 filter and a chosen noise precision."""
+    """An L = 1 start from ``_init_arrays`` with a chosen noise precision:
+    X, alpha, mu, gamma, h, delta."""
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     alpha = rng.uniform(0.1, 10.0, (F, T))
     delta = rng.uniform(0.5, 50.0, F)
-    cfg = vem.VemConfig(ctf_len=1, ema=0.0, max_iters=1)
-    Xs = revkit.Spectrogram(X)
-    ap = revkit.PriorPrecision(alpha)
-    state = vem.init(Xs, ap, cfg)
-    state.noise = vem.NoisePrecision(delta)
-    return state, Xs, ap, cfg, X, alpha, delta
+    mu, gamma, h, _ = vem._init_arrays(X, alpha, 1)
+    return X, alpha, mu, gamma, h, delta
 
 
 def test_init_values():
@@ -31,64 +43,48 @@ def test_init_values():
     X = rng.standard_normal((257, 10)) + 1j * rng.standard_normal((257, 10))
     X[5] = 0.25  # constant magnitude band, power below the prior's 1
     X[6] = 3.0  # power 9 against the prior's 2: an excess of 7
-    Xs = revkit.Spectrogram(X)
     alpha = np.ones((257, 10))
     alpha[6] = 0.5
-    ap = revkit.PriorPrecision(alpha)
-    cfg = vem.VemConfig(ctf_len=6)
-    st = vem.init(Xs, ap, cfg)
-    np.testing.assert_allclose(st.posterior.gamma, 1.0 / np.abs(X) ** 2,
-                               rtol=1e-12)
-    assert np.all(st.posterior.mu == 0)
+    mu, gamma, h, delta = vem._init_arrays(X, alpha, 6)
+    np.testing.assert_allclose(gamma, 1.0 / np.abs(X) ** 2, rtol=1e-12)
+    assert np.all(mu == 0)
     expected_h = np.zeros(6, complex)
     expected_h[0] = 1.0
-    np.testing.assert_array_equal(
-        st.filter.h, np.tile(expected_h, (257, 1)))
+    np.testing.assert_array_equal(h, np.tile(expected_h, (257, 1)))
     # delta = 1 / the mean power the prior leaves unexplained, floored
     np.testing.assert_allclose(
-        st.noise.delta[5:7], [1.0 / prior.POWER_FLOOR, 1.0 / 7.0], rtol=1e-12)
+        delta[5:7], [1.0 / prior.POWER_FLOOR, 1.0 / 7.0], rtol=1e-12)
     excess = np.mean(np.maximum(np.abs(X) ** 2 - 1.0 / alpha, 0.0), axis=1)
     np.testing.assert_allclose(
-        st.noise.delta, 1.0 / np.maximum(excess, prior.POWER_FLOOR),
-        rtol=1e-12)
+        delta, 1.0 / np.maximum(excess, prior.POWER_FLOOR), rtol=1e-12)
 
 
 def test_init_all_zero_band_floored():
     X = np.zeros((257, 8), complex)
-    Xs = revkit.Spectrogram(X)
-    ap = revkit.PriorPrecision(np.full((257, 8), 1e10))
-    cfg = vem.VemConfig()
-    st = vem.init(Xs, ap, cfg)
-    assert np.all(st.noise.delta == 1.0 / prior.POWER_FLOOR)
-    assert np.all(np.isfinite(st.posterior.gamma))
-
-
-def test_e_step_matches_single_tap_wiener_posterior():
-    state, Xs, ap, cfg, X, alpha, delta = wiener_state(7, T=4)
-    post = vem.e_step(state, Xs, ap, cfg)
-    np.testing.assert_allclose(post.gamma, alpha + delta[:, None],
-                               rtol=1e-12)
-    np.testing.assert_allclose(
-        post.mu, delta[:, None] * X / (alpha + delta[:, None]), rtol=1e-12)
+    _, gamma, _, delta = vem._init_arrays(X, np.full((257, 8), 1e10),
+                                          vem.VemConfig().ctf_len)
+    assert np.all(delta == 1.0 / prior.POWER_FLOOR)
+    assert np.all(np.isfinite(gamma))
 
 
 def test_e_step_ema_one_is_stationary():
-    state, Xs, ap, cfg, X, alpha, delta = wiener_state(8)
-    mu_pre = state.posterior.mu
+    X, alpha, mu_pre, gamma_pre, h, delta = wiener_state(8)
     mu, gamma = vem._e_step_arrays(
         vem._spectrum(X, 1), alpha, mu_pre, vem._spectrum(mu_pre, 1),
-        state.posterior.gamma, state.filter.h, delta, 1.0,
+        gamma_pre, h, delta, 1.0,
     )
-    np.testing.assert_array_equal(mu, state.posterior.mu)
-    np.testing.assert_allclose(gamma, state.posterior.gamma, rtol=1e-14)
+    np.testing.assert_array_equal(mu, mu_pre)
+    np.testing.assert_allclose(gamma, gamma_pre, rtol=1e-14)
 
 
 def test_e_step_confident_zero_prior():
-    state, Xs, ap, cfg, X, alpha, delta = wiener_state(9)
-    huge = revkit.PriorPrecision(np.full(X.shape, 1e18))
-    post = vem.e_step(state, Xs, huge, cfg)
-    assert np.all(np.abs(post.mu) < 1e-12)
-    np.testing.assert_allclose(post.gamma, 1e18, rtol=1e-6)
+    X, _, mu_pre, gamma_pre, h, delta = wiener_state(9)
+    mu, gamma = vem._e_step_arrays(
+        vem._spectrum(X, 1), np.full(X.shape, 1e18), mu_pre,
+        vem._spectrum(mu_pre, 1), gamma_pre, h, delta, 0.0,
+    )
+    assert np.all(np.abs(mu) < 1e-12)
+    np.testing.assert_allclose(gamma, 1e18, rtol=1e-6)
 
 
 def check_e_step_against_brute_force(F, T, L, seed=10):
@@ -139,8 +135,9 @@ def test_e_step_matches_brute_force_short_input(T, L):
 
 @pytest.mark.parametrize("T, L", [(14, 1), (3, 5)])
 def test_e_step_leaves_its_inputs_unchanged(T, L):
-    # vem.run keeps FX for a chunk's whole loop and the step API hands in
-    # its state's arrays, so the kernel may write only to its own buffers
+    # _run_chunk keeps FX, x2 and log alpha for a block's whole loop, and
+    # tests replay from a state they keep, so the E-step kernel and _step
+    # may write only to their own buffers
     rng = np.random.default_rng(21)
     F = 4
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
@@ -157,24 +154,31 @@ def test_e_step_leaves_its_inputs_unchanged(T, L):
     for k, v in args.items():
         assert np.array_equal(v, before[k]), k
 
+    inputs = (args["FX"], vem._band_energy(X), args["alpha"],
+              np.log(args["alpha"]))
+    state = (mu_pre, args["Fmu"], args["gamma_pre"], args["h"], args["delta"])
+    before = [a.copy() for a in inputs + state]
+    vem._step(*inputs, state, 0.37)
+    for i, (a, b) in enumerate(zip(inputs + state, before)):
+        assert np.array_equal(a, b), i
+
 
 @pytest.mark.parametrize("T, L", [(12, 1), (3, 5), (57, 5)])
 def test_run_first_iterate_is_the_step_api_update(T, L):
     # one iteration has one candidate, so vem.run returns the E-step's mean
-    # and the M-step's filter, which the step API computes from init
+    # and the M-step's filter, which one raw _step computes from the start
     rng = np.random.default_rng(22)
     F = 257
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
     cfg = vem.VemConfig(ctf_len=L, ema=0.0, max_iters=1)
-    Xs, ap = revkit.Spectrogram(X), revkit.PriorPrecision(A)
-    S_hat, H_hat, _ = vem.run(Xs, ap, cfg)
-    state = vem.init(Xs, ap, cfg)
-    state.posterior = vem.e_step(state, Xs, ap, cfg)
-    _, h = vem.m_step(state, Xs, cfg)
-    np.testing.assert_allclose(S_hat.data[RUN_BANDS],
-                               state.posterior.mu[RUN_BANDS], rtol=1e-10)
-    np.testing.assert_allclose(H_hat.h[RUN_BANDS], h.h[RUN_BANDS], rtol=1e-10)
+    S_hat, H_hat, _ = vem.run(revkit.Spectrogram(X), revkit.PriorPrecision(A),
+                              cfg)
+    inputs, state = start(X, A, L)
+    (mu, _, _, h, _), _, _ = vem._step(*inputs, state, 0.0)
+    np.testing.assert_allclose(S_hat.data[RUN_BANDS], mu[RUN_BANDS],
+                               rtol=1e-10)
+    np.testing.assert_allclose(H_hat.h[RUN_BANDS], h[RUN_BANDS], rtol=1e-10)
 
 
 def m_step_arrays(X, mu, gamma, L):
@@ -293,7 +297,7 @@ def test_loglik_matches_brute_force():
     gamma = rng.uniform(0.5, 4.0, (F, T))
     h = (rng.standard_normal((F, L)) + 1j * rng.standard_normal((F, L))) * 0.4
     delta = rng.uniform(0.5, 3.0, F)
-    ll = vem._loglik_arrays(X, A, mu, gamma, h, delta)
+    ll = loglik(X, A, mu, gamma, h, delta)
     for f in range(F):
         s = 0.0
         for t in range(T):
@@ -317,55 +321,47 @@ def test_loglik_decreases_with_overlarge_delta():
     gamma = np.full((F, T), 1e6)
     h = np.zeros((F, 1), complex)
     h[:, 0] = 1.0
-    ll_small = vem._loglik_arrays(X, A, mu, gamma, h, np.full(F, 1.0))
-    ll_big = vem._loglik_arrays(X, A, mu, gamma, h, np.full(F, 1e9))
+    ll_small = loglik(X, A, mu, gamma, h, np.full(F, 1.0))
+    ll_big = loglik(X, A, mu, gamma, h, np.full(F, 1e9))
     assert np.all(ll_big < ll_small)
 
 
 def test_loglik_finite_for_valid_states():
-    state, Xs, ap, cfg, *_ = wiener_state(14)
-    ll = vem.expected_loglik(state, Xs, ap)
-    assert np.all(np.isfinite(ll))
+    X, alpha, mu, gamma, h, delta = wiener_state(14)
+    assert np.all(np.isfinite(loglik(X, alpha, mu, gamma, h, delta)))
 
 
-def test_run_trace_is_likelihood_of_recorded_iterate():
-    # replay run() through the step API; with ema = 0 the public e_step
-    # blends exactly as run() does on every iteration
-    rng = np.random.default_rng(18)
-    F, T = 257, 12
+@pytest.mark.parametrize("lam", [0.0, 0.6, 0.7])
+@pytest.mark.parametrize("T, L, iters, seed", [(12, 3, 3, 18), (57, 5, 4, 19)])
+def test_run_replays_through_step(T, L, iters, seed, lam):
+    # vem.run replayed by hand, _step after _step from the start, at the
+    # lambdas the commands ship (dereverb 0.7, identify-rir 0.6) and at 0
+    rng = np.random.default_rng(seed)
+    F = 257
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
     A = rng.uniform(0.5, 2.0, (F, T))
-    cfg = vem.VemConfig(ctf_len=3, ema=0.0, max_iters=3)
-    Xs, ap = revkit.Spectrogram(X), revkit.PriorPrecision(A)
-    _, _, trace = vem.run(Xs, ap, cfg)
-    state = vem.init(Xs, ap, cfg)
-    replay = [vem.expected_loglik(state, Xs, ap)]
-    for _ in range(cfg.max_iters):
-        state.posterior = vem.e_step(state, Xs, ap, cfg)
-        state.noise, state.filter = vem.m_step(state, Xs, cfg)
-        replay.append(vem.expected_loglik(state, Xs, ap))
-    np.testing.assert_allclose(trace[:4, RUN_BANDS],
-                               np.array(replay)[:, RUN_BANDS], rtol=1e-10)
-
-
-def test_run_trace_replays_through_step_api_long_input():
-    # as above at T >= L, where vem.run reuses each posterior-mean spectrum
-    # from its M-step in the next E-step instead of recomputing it
-    rng = np.random.default_rng(19)
-    F, T = 257, 57
-    X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
-    A = rng.uniform(0.5, 2.0, (F, T))
-    cfg = vem.VemConfig(ctf_len=5, ema=0.0, max_iters=4)
-    Xs, ap = revkit.Spectrogram(X), revkit.PriorPrecision(A)
-    _, _, trace = vem.run(Xs, ap, cfg)
-    state = vem.init(Xs, ap, cfg)
-    replay = [vem.expected_loglik(state, Xs, ap)]
-    for _ in range(cfg.max_iters):
-        state.posterior = vem.e_step(state, Xs, ap, cfg)
-        state.noise, state.filter = vem.m_step(state, Xs, cfg)
-        replay.append(vem.expected_loglik(state, Xs, ap))
-    np.testing.assert_allclose(trace[:, RUN_BANDS],
-                               np.array(replay)[:, RUN_BANDS], rtol=1e-10)
+    cfg = vem.VemConfig(ctf_len=L, ema=lam, max_iters=iters)
+    S_hat, H_hat, trace = vem.run(revkit.Spectrogram(X),
+                                  revkit.PriorPrecision(A), cfg)
+    inputs, state = start(X[RUN_BANDS], A[RUN_BANDS], L)
+    states = [state]
+    for it in range(1, iters + 1):
+        state, _, _ = vem._step(*inputs, state, lam if it > 1 else 0.0)
+        states.append(state)
+    # each trace row is the likelihood of its iterate, evaluated afresh
+    replay = [vem._loglik(*inputs, *s) for s in states]
+    np.testing.assert_allclose(trace[:, RUN_BANDS], replay, rtol=1e-10)
+    # the output is the iterate of each band's first maximum, bit for bit
+    best = 1 + np.argmax(trace[1:, RUN_BANDS], axis=0)
+    bands = np.arange(best.size)
+    mus = np.array([s[0] for s in states])
+    hs = np.array([s[3] for s in states])
+    assert np.array_equal(S_hat.data[RUN_BANDS], mus[best, bands])
+    assert np.array_equal(H_hat.h[RUN_BANDS], hs[best, bands])
+    # iteration 1 applies the raw update: a blended one is not the trace's
+    if lam > 0:
+        _, ll, _ = vem._step(*inputs, states[0], lam)
+        assert not np.allclose(trace[1, RUN_BANDS], ll, rtol=1e-10)
 
 
 def test_band_independence():
@@ -538,8 +534,8 @@ def test_threads_default_to_the_cpus_counted_at_construction(monkeypatch):
                         raising=False)
     assert vem.VemConfig().threads == 3
     # the CLI adds no default of its own: no file and no flags is VemConfig()
-    args = argparse.Namespace(config=None)
-    assert cli._effective_config(args)[0] == vem.VemConfig()
+    cfg, settings = cli._effective_config(argparse.Namespace(config=None))
+    assert cfg == vem.VemConfig() and settings["threads"] == 3
 
 
 def test_config_validation():
