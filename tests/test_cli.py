@@ -165,6 +165,14 @@ def engine_config(**values):
     return _effective_config(argparse.Namespace(config=None, **values))
 
 
+def test_threads_default_to_the_available_cpus(monkeypatch):
+    assert engine_config()[1]["threads"] == _available_cpus()
+    # counted when a configuration is built, not when revkit is imported
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert engine_config()[1]["threads"] == 3
+
+
 def test_default_threads_write_the_one_thread_bytes(tmp_path, identity_case):
     outs = []
     for flags in ([], ["--threads", "1"]):
