@@ -119,12 +119,13 @@ def _available_cpus() -> int:
 
 @dataclass
 class VemConfig:
-    """Engine settings.
+    """Engine settings; the defaults are ``dereverb``'s engine.
 
     ctf_len : filter length L in frames of 8 ms (30: 240 ms).
-    ema : smoothing factor in [0, 1); 0 applies raw updates, values near 1
-        change the posterior very slowly.
-    max_iters : number of EM iterations.
+    ema : smoothing factor lambda in [0, 1); 0 applies raw updates, values
+        near 1 change the posterior very slowly. Both engine commands run
+        0.6.
+    max_iters : number of EM iterations; ``identify-rir`` runs 120.
     threads : worker threads, by default every usable CPU; never alters results.
 
     The numerical guards are the module constants ``DELTA_CAP``,
@@ -132,8 +133,8 @@ class VemConfig:
     """
 
     ctf_len: int = 30
-    ema: float = 0.7
-    max_iters: int = 100
+    ema: float = 0.6
+    max_iters: int = 60
     threads: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):

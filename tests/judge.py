@@ -41,7 +41,7 @@ import numpy as np
 
 import test_degraded_prior as degraded
 from revkit import acoustics, cli, prior, rir, stft, vem
-from synthcases import BLIND_CASES, blind_case
+from synthcases import BLIND_CASES, blind_case, clipped_lsd
 
 GRID_BASES = (1000, 5000, 9000)
 T2_CELL = (0.8, 0.0)
@@ -49,7 +49,6 @@ D0_CELL = (0.3, -5.0)
 BENCH_SEEDS = range(20)
 THREADS = 2
 EDGE = stft.WIN  # samples left out at each end of dereverb's output
-CLIP_DB = -80.0  # LSD floor, relative to the reference's peak magnitude
 
 
 def setting(text: str) -> vem.VemConfig:
@@ -89,17 +88,6 @@ def identified(X, alpha, cfg):
     _, H_hat, _ = vem.run(X, alpha, cfg)
     est = rir.ctf_to_rir(H_hat)
     return acoustics.estimate_rt60(est).rt60, acoustics.estimate_drr(est).drr
-
-
-def clipped_lsd(out: np.ndarray, ref: np.ndarray) -> float:
-    """``evaluate.lsd`` of two waveforms, with both magnitudes clipped at
-    the reference's peak CLIP_DB instead of floored at ``LSD_EPS``."""
-    em = np.abs(stft.forward(stft.Waveform(out)).data)
-    rm = np.abs(stft.forward(stft.Waveform(ref)).data)
-    em *= np.sqrt(np.sum(rm ** 2) / np.sum(em ** 2))
-    floor = np.max(rm) * 10.0 ** (CLIP_DB / 20.0)
-    diff = 20.0 * np.log10(np.maximum(em, floor) / np.maximum(rm, floor))
-    return float(np.mean(np.sqrt(np.mean(diff ** 2, axis=0))))
 
 
 def dereverb_scores(X, alpha, peak, direct, cfg):

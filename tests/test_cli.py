@@ -18,7 +18,7 @@ from revkit.cli import (ENGINE_KEYS, IDENTIFY_RIR_DEFAULTS, _add_engine,
                         _dump_config, _effective_config, _field,
                         _parse_config, main)
 from revkit.vem import _available_cpus
-from synthcases import blind_case
+from synthcases import blind_case, clipped_lsd
 
 
 @pytest.fixture()
@@ -113,8 +113,8 @@ def test_prior_file_equivalent_to_oracle(tmp_path, identity_case):
 @pytest.fixture(scope="module")
 def bench_dereverb(tmp_path_factory):
     """The benchmark's dereverb case (RT60 0.3 s, DRR -5 dB, seed 10000),
-    written as WAV files and run at the default 100 iterations with the
-    direct-path reference as the oracle."""
+    written as WAV files and run at the defaults (lambda 0.6, 60 iterations)
+    with the direct-path reference as the oracle."""
     d = tmp_path_factory.mktemp("bench_dereverb")
     _, _, reverb, direct = blind_case(0.3, -5.0, 10_000)
     wavio.write_wav(d / "reverb.wav", reverb)
@@ -149,6 +149,17 @@ def test_dereverb_keeps_the_direct_path_level(bench_dereverb):
     level_db = 20.0 * np.log10(np.sqrt(np.mean(y[inner] ** 2))
                                / np.sqrt(np.mean(ref[inner] ** 2)))
     assert abs(level_db) <= 1.0
+
+
+def test_dereverb_lowers_the_clipped_lsd(bench_dereverb):
+    # on the interior, the output is closer to the direct path than the
+    # input is, both magnitudes clipped at the reference's peak -80 dB
+    d = bench_dereverb
+    y = wavio.read_wav(d / "oracle.wav").samples
+    inner = slice(512, y.size - 512)
+    x = wavio.read_wav(d / "reverb.wav").samples[: y.size][inner]
+    ref = wavio.read_wav(d / "direct.wav").samples[: y.size][inner]
+    assert clipped_lsd(y[inner], ref) < clipped_lsd(x, ref)
 
 
 def test_dereverb_edges_peak_no_higher_than_interior(bench_dereverb):
@@ -272,10 +283,10 @@ def test_dump_config_round_trip(tmp_path, identity_case):
 
 
 @pytest.mark.parametrize("command, ema, iters", [
-    ("dereverb", 0.7, 100),
-    ("identify-rir", IDENTIFY_RIR_DEFAULTS["lambda"],
+    ("dereverb", 0.6, 60),
+    ("identify-rir", revkit.VemConfig().ema,
      IDENTIFY_RIR_DEFAULTS["max_iters"])],
-    ids=["dereverb-100", "identify-rir-120"])
+    ids=["dereverb-60", "identify-rir-120"])
 def test_engine_commands_dump_their_default_iterations(
         tmp_path, identity_case, capsys, command, ema, iters):
     params = ["--params", tmp_path / "p.csv"] if command == "identify-rir" \

@@ -31,7 +31,7 @@ from revkit.cli import IDENTIFY_RIR_DEFAULTS, _effective_config
 from synthcases import blind_case
 
 RT60, DRR, CASE_SEED = 0.8, 0.0, 20_000
-CFG = vem.VemConfig(max_iters=100, threads=2)
+CFG = vem.VemConfig(ema=0.7, max_iters=100, threads=2)
 # identify-rir's engine settings, merged as the CLI merges them
 SHIPPED = _effective_config(argparse.Namespace(config=None, threads=2),
                             **IDENTIFY_RIR_DEFAULTS)[0]

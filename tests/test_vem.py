@@ -335,7 +335,8 @@ def test_loglik_finite_for_valid_states():
 @pytest.mark.parametrize("T, L, iters, seed", [(12, 3, 3, 18), (57, 5, 4, 19)])
 def test_run_replays_through_step(T, L, iters, seed, lam):
     # vem.run replayed by hand, _step after _step from the start, at the
-    # lambdas the commands ship (dereverb 0.7, identify-rir 0.6) and at 0
+    # lambda both commands ship (0.6), at 0.7 (criteria 4/5 and
+    # test_degraded_prior.BOUNDS) and at 0
     rng = np.random.default_rng(seed)
     F = 257
     X = rng.standard_normal((F, T)) + 1j * rng.standard_normal((F, T))
