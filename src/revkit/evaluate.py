@@ -1,4 +1,6 @@
-"""Batch scoring: RT60/DRR error statistics and log-spectral distortion."""
+"""Batch scoring: RT60/DRR error statistics, and the log-spectral
+distortion of an enhanced spectrogram against its reference, with both
+magnitudes clipped at the reference's peak LSD_CLIP_DB."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ import numpy as np
 
 from .stft import Spectrogram
 
-LSD_EPS = 1e-8
+LSD_CLIP_DB = -80.0  # LSD magnitude floor, relative to the reference's peak
 
 
 @dataclass
@@ -58,10 +60,14 @@ def score_rir_batch(estimates, truths) -> ScoreReport:
 def lsd(enhanced: Spectrogram, reference: Spectrogram) -> float:
     """Log-spectral distortion in dB between two equally shaped spectrograms.
 
-    Per frame, the RMS over bins of the difference of 20 log10 magnitudes
-    (floored by LSD_EPS), averaged over frames. Magnitudes are taken as
-    given, and the enhanced side is first scaled so its total power
-    matches the reference.
+    Per frame, the RMS over bins of the difference of 20 log10 magnitudes,
+    averaged over frames. Magnitudes are taken as given, and the enhanced
+    side is first scaled so its total power matches the reference. Both
+    magnitudes are then clipped from below at the reference's peak
+    magnitude LSD_CLIP_DB, so bins of digital silence count as that floor
+    rather than as -inf dB. A silent reference has no peak to clip at and
+    raises ``ValueError``; a silent enhanced side reads every bin at the
+    floor.
     """
     if enhanced.data.shape != reference.data.shape:
         raise ValueError(
@@ -69,8 +75,12 @@ def lsd(enhanced: Spectrogram, reference: Spectrogram) -> float:
         )
     em = np.abs(enhanced.data)
     rm = np.abs(reference.data)
+    peak = float(np.max(rm))
+    if peak == 0.0:
+        raise ValueError("silent reference: LSD undefined")
     p_enh = float(np.sum(em ** 2))
     if p_enh > 0.0:
         em = em * np.sqrt(float(np.sum(rm ** 2)) / p_enh)
-    diff = 20.0 * np.log10(em + LSD_EPS) - 20.0 * np.log10(rm + LSD_EPS)
+    floor = peak * 10.0 ** (LSD_CLIP_DB / 20.0)
+    diff = 20.0 * np.log10(np.maximum(em, floor) / np.maximum(rm, floor))
     return float(np.mean(np.sqrt(np.mean(diff ** 2, axis=0))))

@@ -28,8 +28,9 @@ at bench seeds 0-19 (case seed 10000 + 10 seed), and on the blind cases at
 base 1000. The output is dereverb's own synthesis (``cli._synthesize``: the
 peak restored, the edges faded), scored against the direct path on the
 interior [512, n - 512), as the benchmark scores it. Each case set prints
-the mean and worst log-spectral distance, with both magnitudes clipped at
-the reference's peak -80 dB, and the mean and worst absolute level error.
+the mean and worst log-spectral distance (``evaluate.lsd``, which clips
+both magnitudes at the reference's peak -80 dB) and the mean and worst
+absolute level error.
 
 This is a measurement, not a test: pytest does not collect it, and it takes
 a few minutes per pair on two CPUs.
@@ -40,8 +41,8 @@ import argparse
 import numpy as np
 
 import test_degraded_prior as degraded
-from revkit import acoustics, cli, prior, rir, stft, vem
-from synthcases import BLIND_CASES, blind_case, clipped_lsd
+from revkit import acoustics, cli, evaluate, prior, rir, stft, vem
+from synthcases import BLIND_CASES, blind_case
 
 GRID_BASES = (1000, 5000, 9000)
 T2_CELL = (0.8, 0.0)
@@ -91,13 +92,15 @@ def identified(X, alpha, cfg):
 
 
 def dereverb_scores(X, alpha, peak, direct, cfg):
-    """(clipped LSD, absolute level error) of dereverb's output, in dB."""
+    """(LSD, absolute level error) of dereverb's output, in dB."""
     S_hat, _, _ = vem.run(X, alpha, cfg)
     out = cli._synthesize(S_hat, peak).samples
     inner = slice(EDGE, out.size - EDGE)
     out, ref = out[inner], direct[: out.size][inner]
     level = 20.0 * np.log10(np.sqrt(np.mean(out ** 2) / np.mean(ref ** 2)))
-    return clipped_lsd(out, ref), abs(level)
+    lsd = evaluate.lsd(stft.forward(stft.Waveform(out)),
+                       stft.forward(stft.Waveform(ref)))
+    return lsd, abs(level)
 
 
 def summary(errors: np.ndarray) -> str:

@@ -60,17 +60,3 @@ def blind_case(rt60, drr, case_seed, snr_db=20.0, duration=3.2):
     reverb = simulate.mix(clean, true_rir, noise, snr_db)
     direct = simulate.direct_path_reference(clean, true_rir)
     return clean, true_rir, reverb, direct
-
-
-CLIP_DB = -80.0  # LSD floor, relative to the reference's peak magnitude
-
-
-def clipped_lsd(out: np.ndarray, ref: np.ndarray) -> float:
-    """``evaluate.lsd`` of two waveforms, with both magnitudes clipped at
-    the reference's peak CLIP_DB instead of floored at ``LSD_EPS``."""
-    em = np.abs(stft.forward(stft.Waveform(out)).data)
-    rm = np.abs(stft.forward(stft.Waveform(ref)).data)
-    em *= np.sqrt(np.sum(rm ** 2) / np.sum(em ** 2))
-    floor = np.max(rm) * 10.0 ** (CLIP_DB / 20.0)
-    diff = 20.0 * np.log10(np.maximum(em, floor) / np.maximum(rm, floor))
-    return float(np.mean(np.sqrt(np.mean(diff ** 2, axis=0))))

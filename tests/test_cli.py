@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import revkit
-from revkit import prior, simulate, stft, wavio
+from revkit import evaluate, prior, simulate, stft, wavio
 from revkit.cli import (ENGINE_KEYS, IDENTIFY_RIR_DEFAULTS, _add_engine,
                         _dump_config, _effective_config, _field,
                         _parse_config, main)
 from revkit.vem import _available_cpus
-from synthcases import blind_case, clipped_lsd
+from synthcases import blind_case
 
 
 @pytest.fixture()
@@ -151,15 +151,20 @@ def test_dereverb_keeps_the_direct_path_level(bench_dereverb):
     assert abs(level_db) <= 1.0
 
 
-def test_dereverb_lowers_the_clipped_lsd(bench_dereverb):
+def test_dereverb_lowers_the_lsd(bench_dereverb):
     # on the interior, the output is closer to the direct path than the
-    # input is, both magnitudes clipped at the reference's peak -80 dB
+    # input is, by evaluate.lsd (magnitudes clipped at the reference's
+    # peak -80 dB)
     d = bench_dereverb
     y = wavio.read_wav(d / "oracle.wav").samples
     inner = slice(512, y.size - 512)
-    x = wavio.read_wav(d / "reverb.wav").samples[: y.size][inner]
-    ref = wavio.read_wav(d / "direct.wav").samples[: y.size][inner]
-    assert clipped_lsd(y[inner], ref) < clipped_lsd(x, ref)
+
+    def spectrum(samples):
+        return stft.forward(stft.Waveform(samples[: y.size][inner]))
+
+    x = spectrum(wavio.read_wav(d / "reverb.wav").samples)
+    ref = spectrum(wavio.read_wav(d / "direct.wav").samples)
+    assert evaluate.lsd(spectrum(y), ref) < evaluate.lsd(x, ref)
 
 
 def test_dereverb_edges_peak_no_higher_than_interior(bench_dereverb):

@@ -83,17 +83,18 @@ def test_lsd_constant_magnitude_offset():
 def test_lsd_matches_naive_double_loop():
     a, b = random_pair(2)
     val = evaluate.lsd(a, b)
-    eps = evaluate.LSD_EPS
     F, T = a.data.shape
     p_a = sum(abs(a.data[f, t]) ** 2 for f in range(F) for t in range(T))
     p_b = sum(abs(b.data[f, t]) ** 2 for f in range(F) for t in range(T))
     gain = np.sqrt(p_b / p_a)
+    peak = max(abs(b.data[f, t]) for f in range(F) for t in range(T))
+    floor = peak * 10 ** (evaluate.LSD_CLIP_DB / 20)
     acc = 0.0
     for t in range(T):
         s = 0.0
         for f in range(F):
-            d = (20 * np.log10(gain * abs(a.data[f, t]) + eps)
-                 - 20 * np.log10(abs(b.data[f, t]) + eps))
+            d = (20 * np.log10(max(gain * abs(a.data[f, t]), floor))
+                 - 20 * np.log10(max(abs(b.data[f, t]), floor)))
             s += d * d
         acc += np.sqrt(s / F)
     assert abs(val - acc / T) < 1e-9
@@ -124,3 +125,36 @@ def test_lsd_shape_mismatch():
     small = revkit.Spectrogram(a.data[:, :5])
     with pytest.raises(ValueError, match="shape"):
         evaluate.lsd(a, small)
+
+
+def test_lsd_silent_reference_is_undefined():
+    a, _ = random_pair(7)
+    silent = revkit.Spectrogram(np.zeros_like(a.data))
+    with pytest.raises(ValueError, match="silent reference"):
+        evaluate.lsd(a, silent)
+
+
+def test_lsd_silent_enhanced_reads_every_bin_at_the_floor():
+    _, b = random_pair(8)
+    silent = revkit.Spectrogram(np.zeros_like(b.data))
+    mag = np.abs(b.data)
+    floor_db = 20 * np.log10(np.max(mag)) + evaluate.LSD_CLIP_DB
+    diff = floor_db - 20 * np.log10(mag)
+    expected = np.mean(np.sqrt(np.mean(diff ** 2, axis=0)))
+    val = evaluate.lsd(silent, b)
+    assert np.isfinite(val)
+    assert abs(val - expected) < 1e-9
+
+
+def test_lsd_digital_silence_counts_at_the_clip():
+    # frames of digital silence in the reference, and near-silence 140 dB
+    # below its peak in the enhanced copy, both sit under the clip, so
+    # they add nothing to the distance
+    rng = np.random.default_rng(9)
+    ref = rng.uniform(0.01, 2.0, (257, 40)) * np.exp(
+        1j * rng.uniform(-np.pi, np.pi, (257, 40)))
+    ref[:, ::2] = 0.0
+    enh = ref.copy()
+    enh[:, ::2] = 1e-7 * np.max(np.abs(ref))
+    val = evaluate.lsd(revkit.Spectrogram(enh), revkit.Spectrogram(ref))
+    assert val < 1e-6
