@@ -94,8 +94,8 @@ ENGINE_KEYS = {
 
 # identify-rir's settings where they differ from VemConfig's (dereverb's).
 # Both run lambda 0.6; identify-rir's RIR errors were judged at 120
-# iterations, while dereverb's level error grows with the count at this
-# lambda, so it stops at 60 (tests/judge.py).
+# iterations, while dereverb's spectrum and level error, with the oracle
+# and with degraded priors, get no better past 40 (tests/judge.py).
 IDENTIFY_RIR_DEFAULTS = {"max_iters": 120}
 
 
@@ -220,8 +220,26 @@ def _manifest_path(args) -> Path:
     return Path(str(args.output) + ".manifest.json")
 
 
-def _write_manifest(args, outputs, settings, timings) -> None:
-    """``<output>.manifest.json`` of a dereverb / identify-rir run."""
+def _engine_summary(trace: np.ndarray) -> dict:
+    """What the engine did, from ``vem.run``'s likelihood trace: the bands
+    it ran (their trace is finite), percentiles of each one's best
+    iteration (the first maximum, as ``run`` picks it) and the share whose
+    best is the last iteration; with no band run, those three are None.
+    """
+    active = np.all(np.isfinite(trace), axis=0)
+    if not active.any():
+        return {"active_bands": 0, "best_iter_p10": None,
+                "best_iter_p50": None, "improving_frac": None}
+    best = 1 + np.argmax(trace[1:, active], axis=0)
+    return {"active_bands": int(active.sum()),
+            "best_iter_p10": float(np.percentile(best, 10)),
+            "best_iter_p50": float(np.percentile(best, 50)),
+            "improving_frac": float(np.mean(best == trace.shape[0] - 1))}
+
+
+def _write_manifest(args, outputs, settings, timings, engine) -> None:
+    """``<output>.manifest.json`` of a dereverb / identify-rir run;
+    ``engine`` is ``_engine_summary`` of the run's trace."""
     import json
     import platform
 
@@ -231,6 +249,7 @@ def _write_manifest(args, outputs, settings, timings) -> None:
         "outputs": {str(p): _sha256(p) for p in outputs},
         "config": {k: str(v) for k, v in settings.items()},
         "timings_s": timings,
+        "engine": engine,
         # FFT and BLAS output bits depend on the builds, so name them.
         "versions": {"revkit": __version__, "numpy": np.__version__,
                      "python": platform.python_version()},
@@ -321,7 +340,7 @@ def _run_vem(args, cfg: VemConfig, settings: dict, *outputs):
     timings["vem"] = time.perf_counter() - t0
     if args.trace is not None:
         _write_trace(args.trace, trace)
-    return S_hat, H_hat, peak, timings
+    return S_hat, H_hat, peak, timings, _engine_summary(trace)
 
 
 def _synthesize(S_hat: stft.Spectrogram, peak: float) -> stft.Waveform:
@@ -336,11 +355,11 @@ def _synthesize(S_hat: stft.Spectrogram, peak: float) -> stft.Waveform:
 
 def cmd_dereverb(args) -> int:
     cfg, settings = _effective_config(args)
-    S_hat, _, peak, timings = _run_vem(args, cfg, settings)
+    S_hat, _, peak, timings, engine = _run_vem(args, cfg, settings)
     t0 = time.perf_counter()
     wavio.write_wav(args.output, _synthesize(S_hat, peak))
     timings["synthesis"] = time.perf_counter() - t0
-    _write_manifest(args, [args.output], settings, timings)
+    _write_manifest(args, [args.output], settings, timings, engine)
     print(f"wrote {args.output}")
     return 0
 
@@ -348,8 +367,8 @@ def cmd_dereverb(args) -> int:
 def cmd_identify_rir(args) -> int:
     from . import rir
     cfg, settings = _effective_config(args, **IDENTIFY_RIR_DEFAULTS)
-    _, H_hat, _, timings = _run_vem(args, cfg, settings, args.params,
-                                    args.ctf_csv)
+    _, H_hat, _, timings, engine = _run_vem(args, cfg, settings,
+                                            args.params, args.ctf_csv)
 
     t0 = time.perf_counter()
     est = rir.ctf_to_rir(H_hat)
@@ -382,7 +401,7 @@ def cmd_identify_rir(args) -> int:
             for f in range(F) for l in range(L)
         ))
         outputs.append(args.ctf_csv)
-    _write_manifest(args, outputs, settings, timings)
+    _write_manifest(args, outputs, settings, timings, engine)
     print(f"wrote {args.output} and {args.params}")
     return 0
 

@@ -30,7 +30,10 @@ peak restored, the edges faded), scored against the direct path on the
 interior [512, n - 512), as the benchmark scores it. Each case set prints
 the mean and worst log-spectral distance (``evaluate.lsd``, which clips
 both magnitudes at the reference's peak -80 dB) and the mean and worst
-absolute level error.
+absolute level error; the same line pooled over both sets follows. Then
+come the runs of ``tests/test_degraded_prior.py`` again, dereverberated
+(the oracle replaced by a DNN-like prior): each prints the output's LSD,
+its observation's and the output's signed level error.
 
 This is a measurement, not a test: pytest does not collect it, and it takes
 a few minutes per pair on two CPUs.
@@ -41,15 +44,14 @@ import argparse
 import numpy as np
 
 import test_degraded_prior as degraded
-from revkit import acoustics, cli, evaluate, prior, rir, stft, vem
-from synthcases import BLIND_CASES, blind_case
+from revkit import acoustics, cli, prior, rir, stft, vem
+from synthcases import BLIND_CASES, blind_case, interior_scores
 
 GRID_BASES = (1000, 5000, 9000)
 T2_CELL = (0.8, 0.0)
 D0_CELL = (0.3, -5.0)
 BENCH_SEEDS = range(20)
 THREADS = 2
-EDGE = stft.WIN  # samples left out at each end of dereverb's output
 
 
 def setting(text: str) -> vem.VemConfig:
@@ -94,12 +96,7 @@ def identified(X, alpha, cfg):
 def dereverb_scores(X, alpha, peak, direct, cfg):
     """(LSD, absolute level error) of dereverb's output, in dB."""
     S_hat, _, _ = vem.run(X, alpha, cfg)
-    out = cli._synthesize(S_hat, peak).samples
-    inner = slice(EDGE, out.size - EDGE)
-    out, ref = out[inner], direct[: out.size][inner]
-    level = 20.0 * np.log10(np.sqrt(np.mean(out ** 2) / np.mean(ref ** 2)))
-    lsd = evaluate.lsd(stft.forward(stft.Waveform(out)),
-                       stft.forward(stft.Waveform(ref)))
+    lsd, level = interior_scores(cli._synthesize(S_hat, peak).samples, direct)
     return lsd, abs(level)
 
 
@@ -146,6 +143,8 @@ def main() -> None:
 
     degraded_errors = [{name: degraded.parameter_errors(name, cfg)
                         for name in degraded.RUNS} for cfg in cfgs]
+    degraded_scores = [{name: degraded.dereverb_scores(name, cfg)
+                        for name in degraded.RUNS} for cfg in cfgs]
 
     # dereverb_rows[i][case set] -> rows of (LSD, level error) of cfgs[i]
     dereverb_sets = {"d0 cell": bench_cell(D0_CELL, 10_000),
@@ -160,8 +159,9 @@ def main() -> None:
 
     bound_sets = ((label(degraded.CFG), degraded.BOUNDS),
                   ("shipped", degraded.SHIPPED_BOUNDS))
-    for cfg, errors, runs, scores in zip(cfgs, identify_errors,
-                                         degraded_errors, dereverb_rows):
+    for cfg, errors, runs, scores, degraded_runs in zip(
+            cfgs, identify_errors, degraded_errors, dereverb_rows,
+            degraded_scores):
         print(f"lambda {cfg.ema}, {cfg.max_iters} iterations, "
               f"{THREADS} threads")
         print("  identify-rir")
@@ -180,6 +180,11 @@ def main() -> None:
         for name, rows in scores.items():
             print(f"    {name:<12} ({len(rows)}) "
                   f"{dereverb_summary(np.array(rows))}")
+        pooled = np.concatenate([np.array(r) for r in scores.values()])
+        print(f"    pooled ({len(pooled)})   {dereverb_summary(pooled)}")
+        for name, (lsd_out, level, lsd_in) in degraded_runs.items():
+            print(f"    {name:<22} clipped LSD {lsd_out:.3f} dB "
+                  f"(input {lsd_in:.3f})  level error {level:+.3f} dB")
 
 
 if __name__ == "__main__":

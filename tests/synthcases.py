@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from revkit import simulate, stft
+from revkit import evaluate, simulate, stft
 
 # The acceptance grid, and the 20 blind cases of criteria 6b/7b: the 16
 # cells plus one extra per RT60 value.
@@ -10,6 +10,7 @@ RT_GRID = (0.3, 0.5, 0.8, 1.0)
 DRR_GRID = (-5.0, 0.0, 5.0, 10.0)
 BLIND_CASES = ([(rt, drr) for rt in RT_GRID for drr in DRR_GRID]
                + [(0.3, 5.0), (0.5, 0.0), (0.8, -5.0), (1.0, 10.0)])
+EDGE = stft.WIN  # samples left out at each end of a dereverberated waveform
 
 
 def speechlike_tf_instance(seed, F=257, T=400, L=8, snr_db=30.0,
@@ -60,3 +61,15 @@ def blind_case(rt60, drr, case_seed, snr_db=20.0, duration=3.2):
     reverb = simulate.mix(clean, true_rir, noise, snr_db)
     direct = simulate.direct_path_reference(clean, true_rir)
     return clean, true_rir, reverb, direct
+
+
+def interior_scores(samples, direct):
+    """(LSD, signed level error) in dB of ``samples`` against the direct
+    path ``direct`` on the interior [EDGE, n - EDGE), as the benchmark
+    scores dereverb's output; the LSD is ``evaluate.lsd``'s."""
+    inner = slice(EDGE, samples.size - EDGE)
+    out, ref = samples[inner], direct[: samples.size][inner]
+    level = 20.0 * np.log10(np.sqrt(np.mean(out ** 2) / np.mean(ref ** 2)))
+    lsd = evaluate.lsd(stft.forward(stft.Waveform(out)),
+                       stft.forward(stft.Waveform(ref)))
+    return lsd, level

@@ -17,6 +17,10 @@ The case's last 104 frames hold only reverberation, so its oracle prior
 sits at ``POWER_FLOOR`` in every band there. One more run cuts the
 observation and the reference 120 frames short, so that the exact oracle
 is live to the last frame, and bounds its errors the same way.
+
+``dereverb``'s engine (``VemConfig``'s defaults) runs on three of the
+non-oracle priors too: on the interior, its output must be closer to the
+direct path than the observation is.
 """
 
 import argparse
@@ -27,8 +31,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from revkit import acoustics, prior, rir, stft, vem
-from revkit.cli import IDENTIFY_RIR_DEFAULTS, _effective_config
-from synthcases import blind_case
+from revkit.cli import IDENTIFY_RIR_DEFAULTS, _effective_config, _synthesize
+from synthcases import blind_case, interior_scores
 
 RT60, DRR, CASE_SEED = 0.8, 0.0, 20_000
 CFG = vem.VemConfig(ema=0.7, max_iters=100, threads=2)
@@ -130,14 +134,22 @@ RUNS = {"lognormal_6db": (0, lognormal_6db),
 
 
 @functools.cache
-def build_case(cut):
-    """Observation spectrogram, floored oracle magnitudes and true RT60/DRR,
-    with ``cut`` samples dropped from the end of the mixture and reference."""
+def signals(cut):
+    """Mixture and direct-path samples with ``cut`` samples dropped from
+    their ends, and the true RIR."""
     _, true_rir, reverb, direct = blind_case(RT60, DRR, CASE_SEED)
     end = reverb.samples.size - cut
-    X = stft.forward(stft.Waveform(reverb.samples[:end]))
+    return reverb.samples[:end], direct.samples[:end], true_rir
+
+
+@functools.cache
+def build_case(cut):
+    """Observation spectrogram, floored oracle magnitudes and true RT60/DRR
+    of ``signals(cut)``."""
+    reverb, direct, true_rir = signals(cut)
+    X = stft.forward(stft.Waveform(reverb))
     oracle = prior.oracle_from_reference(
-        stft.Waveform(direct.samples[:end]), X.config, X.num_frames)
+        stft.Waveform(direct), X.config, X.num_frames)
     truth = (acoustics.estimate_rt60(true_rir).rt60,
              acoustics.estimate_drr(true_rir).drr)
     return X, 1.0 / np.sqrt(oracle.alpha), truth
@@ -156,6 +168,20 @@ def parameter_errors(name, cfg):
     *_, est = identify(X, perturb(mag), cfg)
     return (acoustics.estimate_rt60(est).rt60 - rt60_true,
             acoustics.estimate_drr(est).drr - drr_true)
+
+
+def dereverb_scores(name, cfg):
+    """(LSD, signed level error) in dB of the dereverberated output of run
+    ``name``, and the LSD of its observation, against the direct path on
+    the interior. The case is not peak-scaled, so the output is
+    synthesized at peak 1."""
+    cut, perturb = RUNS[name]
+    X, mag, _ = build_case(cut)
+    reverb, direct, _ = signals(cut)
+    S_hat, _, _ = vem.run(X, prior.from_magnitude(perturb(mag)), cfg)
+    out = _synthesize(S_hat, 1.0).samples
+    return (*interior_scores(out, direct),
+            interior_scores(reverb[: out.size], direct)[0])
 
 
 @pytest.mark.parametrize("name", list(RUNS))
@@ -180,3 +206,10 @@ def test_observation_as_prior_stays_finite():
     assert np.all(np.isfinite(S_hat.data)) and np.all(np.isfinite(H_hat.h))
     assert np.all(np.isfinite(trace[:, vem.SKIP_LOW_BANDS:]))
     assert np.all(np.isfinite(est.samples))
+
+
+@pytest.mark.parametrize("name",
+                         ["late_subtraction", "wet_10pct", "floor_40db"])
+def test_dereverb_with_a_degraded_prior_lowers_the_lsd(name):
+    lsd_out, _, lsd_in = dereverb_scores(name, vem.VemConfig(threads=2))
+    assert lsd_out < lsd_in, (name, lsd_out, lsd_in)
