@@ -94,8 +94,8 @@ ENGINE_KEYS = {
 
 # identify-rir's settings where they differ from VemConfig's (dereverb's).
 # Both run lambda 0.6; identify-rir's RIR errors were judged at 120
-# iterations, while dereverb's spectrum and level error, with the oracle
-# and with degraded priors, get no better past 40 (tests/judge.py).
+# iterations, while past 30 dereverb's LSD improves by at most 0.002 dB with
+# the oracle prior and gets worse with most degraded priors (tests/judge.py).
 IDENTIFY_RIR_DEFAULTS = {"max_iters": 120}
 
 

@@ -1,6 +1,6 @@
 """Judge engine settings on the cases that ROADMAP items 2, 4 and 9 name.
 
-    PYTHONPATH=src python tests/judge.py [LAMBDA:ITERS ...]
+    PYTHONPATH=src python tests/judge.py [--json PATH] [LAMBDA:ITERS ...]
 
 Each argument is a ``lambda:iterations`` pair; with none, the two engine
 commands' own: dereverb's (``VemConfig``'s defaults) and identify-rir's
@@ -35,11 +35,22 @@ come the runs of ``tests/test_degraded_prior.py`` again, dereverberated
 (the oracle replaced by a DNN-like prior): each prints the output's LSD,
 its observation's and the output's signed level error.
 
+With ``--json PATH`` the judge also writes what it measured to PATH: the
+settings; per setting, each identify-rir case's signed RT60 and DRR errors,
+each degraded run's errors with both of its bound sets, each dereverb case's
+LSD and signed level error, and the degraded-prior dereverb rows; and the
+commit (when git can name it), the platform and the Python and numpy
+versions. The printed output is the same with or without it.
+
 This is a measurement, not a test: pytest does not collect it, and it takes
 a few minutes per pair on two CPUs.
 """
 
 import argparse
+import json
+import platform
+import subprocess
+from pathlib import Path
 
 import numpy as np
 
@@ -94,10 +105,9 @@ def identified(X, alpha, cfg):
 
 
 def dereverb_scores(X, alpha, peak, direct, cfg):
-    """(LSD, absolute level error) of dereverb's output, in dB."""
+    """(LSD, signed level error) of dereverb's output, in dB."""
     S_hat, _, _ = vem.run(X, alpha, cfg)
-    lsd, level = interior_scores(cli._synthesize(S_hat, peak).samples, direct)
-    return lsd, abs(level)
+    return interior_scores(cli._synthesize(S_hat, peak).samples, direct)
 
 
 def summary(errors: np.ndarray) -> str:
@@ -110,7 +120,9 @@ def summary(errors: np.ndarray) -> str:
 
 
 def dereverb_summary(scores: np.ndarray) -> str:
-    """One line over rows of (clipped LSD, level error)."""
+    """One line over rows of (clipped LSD, signed level error); the level
+    error is summarized by its absolute value (an LSD is never negative)."""
+    scores = np.abs(scores)
     mean, worst = np.mean(scores, axis=0), np.max(scores, axis=0)
     return (f"clipped LSD mean {mean[0]:.3f} dB  worst {worst[0]:.3f} dB  "
             f"level error mean {mean[1]:.3f} dB  worst {worst[1]:.3f} dB")
@@ -121,12 +133,65 @@ def within(errors, bounds) -> str:
     return f"{'within' if ok else 'OUTSIDE'} {bounds[0]} / {bounds[1]}"
 
 
+def commit() -> str | None:
+    """The checkout's commit, or None where git cannot name it."""
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], check=True,
+                              capture_output=True, text=True,
+                              cwd=Path(__file__).parent).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def record(cfgs, identify_sets, identify_errors, degraded_errors,
+           bound_sets, dereverb_sets, dereverb_rows, degraded_scores) -> dict:
+    """Everything the judge measured, as JSON-ready values."""
+    def cases(sets, name, rows, keys):
+        return [{"rt60": rt60, "drr": drr, "case_seed": seed,
+                 **dict(zip(keys, map(float, row)))}
+                for (rt60, drr, seed), row in zip(sets[name], rows)]
+
+    return {
+        "commit": commit(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "threads": THREADS,
+        "settings": [{
+            "ema": cfg.ema,
+            "max_iters": cfg.max_iters,
+            "identify_rir": {
+                name: cases(identify_sets, name, rows,
+                            ("rt60_err_s", "drr_err_db"))
+                for name, rows in errors.items()},
+            "degraded_identify_rir": {
+                name: {"rt60_err_s": rt_err, "drr_err_db": drr_err,
+                       "bounds": {at: list(bounds[name])
+                                  for at, bounds in bound_sets}}
+                for name, (rt_err, drr_err) in runs.items()},
+            "dereverb": {
+                name: cases(dereverb_sets, name, rows,
+                            ("lsd_db", "level_err_db"))
+                for name, rows in scores.items()},
+            "degraded_dereverb": {
+                name: {"lsd_db": lsd_out, "input_lsd_db": lsd_in,
+                       "level_err_db": level}
+                for name, (lsd_out, level, lsd_in) in degraded_runs.items()},
+        } for cfg, errors, runs, scores, degraded_runs in zip(
+            cfgs, identify_errors, degraded_errors, dereverb_rows,
+            degraded_scores)],
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("settings", nargs="*", metavar="LAMBDA:ITERS",
                         default=[label(vem.VemConfig()),
                                  label(degraded.SHIPPED)])
-    cfgs = [setting(text) for text in parser.parse_args().settings]
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the measurements to PATH as JSON")
+    args = parser.parse_args()
+    cfgs = [setting(text) for text in args.settings]
 
     # identify_errors[i][case set] -> rows of (RT60, DRR) error of cfgs[i]
     identify_sets = {f"grid {base}": grid(base) for base in GRID_BASES}
@@ -185,6 +250,12 @@ def main() -> None:
         for name, (lsd_out, level, lsd_in) in degraded_runs.items():
             print(f"    {name:<22} clipped LSD {lsd_out:.3f} dB "
                   f"(input {lsd_in:.3f})  level error {level:+.3f} dB")
+
+    if args.json:
+        args.json.write_text(json.dumps(
+            record(cfgs, identify_sets, identify_errors, degraded_errors,
+                   bound_sets, dereverb_sets, dereverb_rows, degraded_scores),
+            indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -154,7 +154,7 @@ def test_prior_file_equivalent_to_oracle(tmp_path, identity_case):
 @pytest.fixture(scope="module")
 def bench_dereverb(tmp_path_factory):
     """The benchmark's dereverb case (RT60 0.3 s, DRR -5 dB, seed 10000),
-    written as WAV files and run at the defaults (lambda 0.6, 40 iterations)
+    written as WAV files and run at the defaults (lambda 0.6, 30 iterations)
     with the direct-path reference as the oracle."""
     d = tmp_path_factory.mktemp("bench_dereverb")
     _, _, reverb, direct = blind_case(0.3, -5.0, 10_000)
@@ -321,10 +321,10 @@ def test_dump_config_round_trip(tmp_path, identity_case):
 
 
 @pytest.mark.parametrize("command, ema, iters", [
-    ("dereverb", 0.6, 40),
+    ("dereverb", 0.6, 30),
     ("identify-rir", revkit.VemConfig().ema,
      IDENTIFY_RIR_DEFAULTS["max_iters"])],
-    ids=["dereverb-40", "identify-rir-120"])
+    ids=["dereverb-30", "identify-rir-120"])
 def test_engine_commands_dump_their_default_iterations(
         tmp_path, identity_case, capsys, command, ema, iters):
     params = ["--params", tmp_path / "p.csv"] if command == "identify-rir" \

@@ -18,9 +18,9 @@ sits at ``POWER_FLOOR`` in every band there. One more run cuts the
 observation and the reference 120 frames short, so that the exact oracle
 is live to the last frame, and bounds its errors the same way.
 
-``dereverb``'s engine (``VemConfig``'s defaults) runs on three of the
-non-oracle priors too: on the interior, its output must be closer to the
-direct path than the observation is.
+``dereverb``'s engine (``VemConfig``'s defaults) runs on every one of these
+priors too: on the interior, its output must be closer to the direct path
+than the observation is.
 """
 
 import argparse
@@ -208,8 +208,7 @@ def test_observation_as_prior_stays_finite():
     assert np.all(np.isfinite(est.samples))
 
 
-@pytest.mark.parametrize("name",
-                         ["late_subtraction", "wet_10pct", "floor_40db"])
+@pytest.mark.parametrize("name", list(RUNS))
 def test_dereverb_with_a_degraded_prior_lowers_the_lsd(name):
     lsd_out, _, lsd_in = dereverb_scores(name, vem.VemConfig(threads=2))
     assert lsd_out < lsd_in, (name, lsd_out, lsd_in)
