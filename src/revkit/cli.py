@@ -171,18 +171,20 @@ def _effective_config(args, **defaults) -> tuple[VemConfig, dict]:
 
 def _check_output_paths(outputs, inputs) -> None:
     """Exit with status 1 and one line if an output path is a directory, its
-    directory is missing, once resolved it names one of the ``inputs`` or an
-    earlier output, or it cannot be looked up (a symlink loop), so a run
-    that cannot write its results, or would overwrite what it reads or
-    writes, never starts. None stands for an absent option. ``realpath``
-    resolves as ``Path.resolve()`` does, but leaves a symlink loop for
-    ``os.stat`` to report."""
+    directory is missing or cannot be written to, once resolved it names one
+    of the ``inputs`` or an earlier output, or it cannot be looked up (a
+    symlink loop), so a run that cannot write its results, or would
+    overwrite what it reads or writes, never starts. None stands for an
+    absent option. ``realpath`` resolves as ``Path.resolve()`` does, but
+    leaves a symlink loop for ``os.stat`` to report."""
     taken = {os.path.realpath(p) for p in inputs if p is not None}
     for path in filter(None, outputs):
         if Path(path).is_dir():
             raise SystemExit(f"{path}: is a directory")
         if not Path(path).parent.is_dir():
             raise SystemExit(f"{path}: no such directory")
+        if not os.access(Path(path).parent, os.W_OK | os.X_OK):
+            raise SystemExit(f"{path}: Permission denied")
         if os.path.realpath(path) in taken:
             raise SystemExit(f"{path}: is an input or another output")
         with _reading(path), contextlib.suppress(FileNotFoundError):

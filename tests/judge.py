@@ -31,19 +31,24 @@ interior [512, n - 512), as the benchmark scores it. Each case set prints
 the mean and worst log-spectral distance (``evaluate.lsd``, which clips
 both magnitudes at the reference's peak -80 dB) and the mean and worst
 absolute level error; the same line pooled over both sets follows. Then
-come the runs of ``tests/test_degraded_prior.py`` again, dereverberated
-(the oracle replaced by a DNN-like prior): each prints the output's LSD,
-its observation's and the output's signed level error.
+come the same ``tests/test_degraded_prior.py`` runs as dereverb output (the
+oracle replaced by a DNN-like prior): each prints the output's LSD, its
+observation's and the output's signed level error.
 
-With ``--json PATH`` the judge also writes what it measured to PATH: the
+The engine runs once per case and setting, and every part that holds the
+case scores that run: identify-rir the filter, dereverb the posterior. The
+blind cases at base 1000 and the degraded priors are in both parts, so a
+setting takes 107 engine runs. The report prints from the record the judge
+builds as it measures; ``--json PATH`` also writes that record to PATH: the
 settings; per setting, each identify-rir case's signed RT60 and DRR errors,
 each degraded run's errors with both of its bound sets, each dereverb case's
 LSD and signed level error, and the degraded-prior dereverb rows; and the
 commit (when git can name it), the platform and the Python and numpy
 versions. The printed output is the same with or without it.
 
-This is a measurement, not a test: pytest does not collect it, and it takes
-a few minutes per pair on two CPUs.
+This is a measurement, not a test: pytest does not collect it (only its
+per-case code, in ``tests/test_judge.py``). The default pair took 226 s
+on a 2-vCPU VM.
 """
 
 import argparse
@@ -55,14 +60,17 @@ from pathlib import Path
 import numpy as np
 
 import test_degraded_prior as degraded
-from revkit import acoustics, cli, prior, rir, stft, vem
-from synthcases import BLIND_CASES, blind_case, interior_scores
+from revkit import prior, stft, vem
+from synthcases import (BLIND_CASES, blind_case, identify_errors,
+                        output_scores, rir_parameters)
 
 GRID_BASES = (1000, 5000, 9000)
 T2_CELL = (0.8, 0.0)
 D0_CELL = (0.3, -5.0)
 BENCH_SEEDS = range(20)
 THREADS = 2
+IDENTIFY_KEYS = ("rt60_err_s", "drr_err_db")
+DEREVERB_KEYS = ("lsd_db", "level_err_db")
 
 
 def setting(text: str) -> vem.VemConfig:
@@ -86,28 +94,49 @@ def bench_cell(cell, first_seed: int) -> list:
     return [(*cell, first_seed + 10 * s) for s in BENCH_SEEDS]
 
 
+# part -> {case set: cases}; grid 1000 is in both parts
+CASE_SETS = {
+    "identify_rir": {**{f"grid {base}": grid(base) for base in GRID_BASES},
+                     "bench cell": bench_cell(T2_CELL, 20_000)},
+    "dereverb": {"d0 cell": bench_cell(D0_CELL, 10_000),
+                 "grid 1000": grid(1000)},
+}
+
+
 def oracle_case(rt60, drr, case_seed):
     """Observation, oracle prior and the observation's peak, scaled as the
-    CLI scales them; the true RIR and the direct path."""
+    CLI scales them; the true RIR's (RT60, DRR) and the direct path."""
     _, true_rir, reverb, direct = blind_case(rt60, drr, case_seed)
     peak = float(np.max(np.abs(reverb.samples))) or 1.0
     X = stft.forward(stft.Waveform(reverb.samples / peak))
     alpha = prior.oracle_from_reference(stft.Waveform(direct.samples / peak),
                                         X.config, X.num_frames)
-    return X, alpha, peak, true_rir, direct.samples
+    return X, alpha, peak, rir_parameters(true_rir), direct.samples
 
 
-def identified(X, alpha, cfg):
-    """(RT60, DRR) of the RIR the engine identifies."""
-    _, H_hat, _ = vem.run(X, alpha, cfg)
-    est = rir.ctf_to_rir(H_hat)
-    return acoustics.estimate_rt60(est).rt60, acoustics.estimate_drr(est).drr
+def fields(keys, values) -> dict:
+    return dict(zip(keys, map(float, values)))
 
 
-def dereverb_scores(X, alpha, peak, direct, cfg):
-    """(LSD, signed level error) of dereverb's output, in dB."""
-    S_hat, _, _ = vem.run(X, alpha, cfg)
-    return interior_scores(cli._synthesize(S_hat, peak).samples, direct)
+def measure(oracle, cfg, parts) -> dict:
+    """{part: scores} for each of ``parts`` from one engine run at ``cfg`` on
+    ``oracle``, an ``oracle_case``: identify-rir's errors from the filter,
+    dereverb's scores from the posterior."""
+    X, alpha, peak, truth, direct = oracle
+    S_hat, H_hat, _ = vem.run(X, alpha, cfg)
+    scores = {}
+    if "identify_rir" in parts:
+        scores["identify_rir"] = fields(IDENTIFY_KEYS,
+                                        identify_errors(H_hat, truth))
+    if "dereverb" in parts:
+        scores["dereverb"] = fields(DEREVERB_KEYS,
+                                    output_scores(S_hat, peak, direct))
+    return scores
+
+
+def table(rows, keys) -> np.ndarray:
+    """Record rows as an array, one column per key."""
+    return np.array([[row[key] for key in keys] for row in rows])
 
 
 def summary(errors: np.ndarray) -> str:
@@ -143,44 +172,73 @@ def commit() -> str | None:
         return None
 
 
-def record(cfgs, identify_sets, identify_errors, degraded_errors,
-           bound_sets, dereverb_sets, dereverb_rows, degraded_scores) -> dict:
-    """Everything the judge measured, as JSON-ready values."""
-    def cases(sets, name, rows, keys):
-        return [{"rt60": rt60, "drr": drr, "case_seed": seed,
-                 **dict(zip(keys, map(float, row)))}
-                for (rt60, drr, seed), row in zip(sets[name], rows)]
+def measure_settings(cfgs) -> dict:
+    """Everything the judge measures at ``cfgs``, as JSON-ready values."""
+    settings = [{"ema": cfg.ema, "max_iters": cfg.max_iters,
+                 **{part: {name: [] for name in sets}
+                    for part, sets in CASE_SETS.items()},
+                 "degraded_identify_rir": {}, "degraded_dereverb": {}}
+                for cfg in cfgs]
+    sets_of = {}  # case -> {part: its case set there}
+    for part, sets in CASE_SETS.items():
+        for name, cases in sets.items():
+            for case in cases:
+                sets_of.setdefault(case, {})[part] = name
+    for (rt60, drr, seed), sets in sets_of.items():
+        oracle = oracle_case(rt60, drr, seed)
+        for rec, cfg in zip(settings, cfgs):
+            for part, scores in measure(oracle, cfg, sets).items():
+                rec[part][sets[part]].append(
+                    {"rt60": rt60, "drr": drr, "case_seed": seed, **scores})
 
-    return {
-        "commit": commit(),
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "threads": THREADS,
-        "settings": [{
-            "ema": cfg.ema,
-            "max_iters": cfg.max_iters,
-            "identify_rir": {
-                name: cases(identify_sets, name, rows,
-                            ("rt60_err_s", "drr_err_db"))
-                for name, rows in errors.items()},
-            "degraded_identify_rir": {
-                name: {"rt60_err_s": rt_err, "drr_err_db": drr_err,
-                       "bounds": {at: list(bounds[name])
-                                  for at, bounds in bound_sets}}
-                for name, (rt_err, drr_err) in runs.items()},
-            "dereverb": {
-                name: cases(dereverb_sets, name, rows,
-                            ("lsd_db", "level_err_db"))
-                for name, rows in scores.items()},
-            "degraded_dereverb": {
-                name: {"lsd_db": lsd_out, "input_lsd_db": lsd_in,
-                       "level_err_db": level}
-                for name, (lsd_out, level, lsd_in) in degraded_runs.items()},
-        } for cfg, errors, runs, scores, degraded_runs in zip(
-            cfgs, identify_errors, degraded_errors, dereverb_rows,
-            degraded_scores)],
-    }
+    bound_sets = {label(degraded.CFG): degraded.BOUNDS,
+                  "shipped": degraded.SHIPPED_BOUNDS}
+    for rec, cfg in zip(settings, cfgs):
+        for name in degraded.RUNS:
+            S_hat, H_hat, _ = degraded.engine_run(name, cfg)
+            errors = degraded.parameter_errors(name, H_hat)
+            rec["degraded_identify_rir"][name] = {
+                **fields(IDENTIFY_KEYS, errors),
+                "bounds": {at: list(bounds[name])
+                           for at, bounds in bound_sets.items()}}
+            rec["degraded_dereverb"][name] = fields(
+                (*DEREVERB_KEYS, "input_lsd_db"),
+                degraded.dereverb_scores(name, S_hat))
+
+    return {"commit": commit(), "platform": platform.platform(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "threads": THREADS, "settings": settings}
+
+
+def report(record: dict) -> None:
+    """Print ``record``, the judge's measurements."""
+    for rec in record["settings"]:
+        print(f"lambda {rec['ema']}, {rec['max_iters']} iterations, "
+              f"{record['threads']} threads")
+        print("  identify-rir")
+        for name, rows in rec["identify_rir"].items():
+            print(f"    {name:<12} ({len(rows)}) "
+                  f"{summary(table(rows, IDENTIFY_KEYS))}")
+        pooled = table(sum(rec["identify_rir"].values(), []), IDENTIFY_KEYS)
+        mae = np.mean(np.abs(pooled), axis=0)
+        print(f"    pooled ({len(pooled)})   RT60 MAE {mae[0]:.4f} s  "
+              f"DRR MAE {mae[1]:.3f} dB")
+        for name, run in rec["degraded_identify_rir"].items():
+            errors = run["rt60_err_s"], run["drr_err_db"]
+            print(f"    {name:<22} RT60 {errors[0]:+.4f} s  "
+                  f"DRR {errors[1]:+.3f} dB  "
+                  + ",  ".join(f"{within(errors, bounds)} at {at}"
+                               for at, bounds in run["bounds"].items()))
+        print("  dereverb")
+        for name, rows in rec["dereverb"].items():
+            print(f"    {name:<12} ({len(rows)}) "
+                  f"{dereverb_summary(table(rows, DEREVERB_KEYS))}")
+        pooled = table(sum(rec["dereverb"].values(), []), DEREVERB_KEYS)
+        print(f"    pooled ({len(pooled)})   {dereverb_summary(pooled)}")
+        for name, run in rec["degraded_dereverb"].items():
+            print(f"    {name:<22} clipped LSD {run['lsd_db']:.3f} dB "
+                  f"(input {run['input_lsd_db']:.3f})  "
+                  f"level error {run['level_err_db']:+.3f} dB")
 
 
 def main() -> None:
@@ -191,71 +249,10 @@ def main() -> None:
     parser.add_argument("--json", type=Path, metavar="PATH",
                         help="also write the measurements to PATH as JSON")
     args = parser.parse_args()
-    cfgs = [setting(text) for text in args.settings]
-
-    # identify_errors[i][case set] -> rows of (RT60, DRR) error of cfgs[i]
-    identify_sets = {f"grid {base}": grid(base) for base in GRID_BASES}
-    identify_sets["bench cell"] = bench_cell(T2_CELL, 20_000)
-    identify_errors = [{} for _ in cfgs]
-    for name, cases in identify_sets.items():
-        for rt60, drr, seed in cases:
-            X, alpha, _, true_rir, _ = oracle_case(rt60, drr, seed)
-            truth = np.array([acoustics.estimate_rt60(true_rir).rt60,
-                              acoustics.estimate_drr(true_rir).drr])
-            for errors, cfg in zip(identify_errors, cfgs):
-                errors.setdefault(name, []).append(
-                    np.array(identified(X, alpha, cfg)) - truth)
-
-    degraded_errors = [{name: degraded.parameter_errors(name, cfg)
-                        for name in degraded.RUNS} for cfg in cfgs]
-    degraded_scores = [{name: degraded.dereverb_scores(name, cfg)
-                        for name in degraded.RUNS} for cfg in cfgs]
-
-    # dereverb_rows[i][case set] -> rows of (LSD, level error) of cfgs[i]
-    dereverb_sets = {"d0 cell": bench_cell(D0_CELL, 10_000),
-                     "grid 1000": grid(1000)}
-    dereverb_rows = [{} for _ in cfgs]
-    for name, cases in dereverb_sets.items():
-        for rt60, drr, seed in cases:
-            X, alpha, peak, _, direct = oracle_case(rt60, drr, seed)
-            for rows, cfg in zip(dereverb_rows, cfgs):
-                rows.setdefault(name, []).append(
-                    dereverb_scores(X, alpha, peak, direct, cfg))
-
-    bound_sets = ((label(degraded.CFG), degraded.BOUNDS),
-                  ("shipped", degraded.SHIPPED_BOUNDS))
-    for cfg, errors, runs, scores, degraded_runs in zip(
-            cfgs, identify_errors, degraded_errors, dereverb_rows,
-            degraded_scores):
-        print(f"lambda {cfg.ema}, {cfg.max_iters} iterations, "
-              f"{THREADS} threads")
-        print("  identify-rir")
-        for name, rows in errors.items():
-            print(f"    {name:<12} ({len(rows)}) {summary(np.array(rows))}")
-        pooled = np.concatenate([np.array(r) for r in errors.values()])
-        mae = np.mean(np.abs(pooled), axis=0)
-        print(f"    pooled ({len(pooled)})   RT60 MAE {mae[0]:.4f} s  "
-              f"DRR MAE {mae[1]:.3f} dB")
-        for name, (rt_err, drr_err) in runs.items():
-            print(f"    {name:<22} RT60 {rt_err:+.4f} s  "
-                  f"DRR {drr_err:+.3f} dB  "
-                  + ",  ".join(f"{within((rt_err, drr_err), bounds[name])} "
-                               f"at {at}" for at, bounds in bound_sets))
-        print("  dereverb")
-        for name, rows in scores.items():
-            print(f"    {name:<12} ({len(rows)}) "
-                  f"{dereverb_summary(np.array(rows))}")
-        pooled = np.concatenate([np.array(r) for r in scores.values()])
-        print(f"    pooled ({len(pooled)})   {dereverb_summary(pooled)}")
-        for name, (lsd_out, level, lsd_in) in degraded_runs.items():
-            print(f"    {name:<22} clipped LSD {lsd_out:.3f} dB "
-                  f"(input {lsd_in:.3f})  level error {level:+.3f} dB")
-
+    record = measure_settings([setting(text) for text in args.settings])
+    report(record)
     if args.json:
-        args.json.write_text(json.dumps(
-            record(cfgs, identify_sets, identify_errors, degraded_errors,
-                   bound_sets, dereverb_sets, dereverb_rows, degraded_scores),
-            indent=1) + "\n")
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from revkit import evaluate, simulate, stft
+from revkit import acoustics, cli, evaluate, rir, simulate, stft
 
 # The acceptance grid, and the 20 blind cases of criteria 6b/7b: the 16
 # cells plus one extra per RT60 value.
@@ -73,3 +73,22 @@ def interior_scores(samples, direct):
     lsd = evaluate.lsd(stft.forward(stft.Waveform(out)),
                        stft.forward(stft.Waveform(ref)))
     return lsd, level
+
+
+def rir_parameters(h):
+    """(RT60 s, DRR dB) estimated from the RIR ``h``."""
+    return acoustics.estimate_rt60(h).rt60, acoustics.estimate_drr(h).drr
+
+
+def identify_errors(H_hat, truth):
+    """(RT60 s, DRR dB) error of the RIR the CTF filter ``H_hat``
+    identifies: its estimates minus ``truth``, the true RIR's."""
+    rt60, drr = rir_parameters(rir.ctf_to_rir(H_hat))
+    return rt60 - truth[0], drr - truth[1]
+
+
+def output_scores(S_hat, peak, direct):
+    """(LSD, signed level error) in dB of dereverb's output for the posterior
+    ``S_hat`` (``cli._synthesize`` at the observation's ``peak``), scored
+    against the direct path ``direct`` by ``interior_scores``."""
+    return interior_scores(cli._synthesize(S_hat, peak).samples, direct)

@@ -214,12 +214,14 @@ def engine_config(**values):
     return _effective_config(argparse.Namespace(config=None, **values))
 
 
-def test_threads_default_to_the_available_cpus(monkeypatch):
-    assert engine_config()[1]["threads"] == _available_cpus()
-    # counted when a configuration is built, not when revkit is imported
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert engine_config()[1]["threads"] == 3
+def test_threads_default_to_the_available_cpus(monkeypatch, tmp_path,
+                                               identity_case, capsys):
+    # counted when a run starts, not when revkit is imported
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    run_cli("dereverb", identity_case, tmp_path / "out.wav", "--oracle",
+            identity_case, "--iters", "1", "--dump-config", "-")
+    assert "threads = 3\n" in capsys.readouterr().out
 
 
 def test_default_threads_write_the_one_thread_bytes(tmp_path, identity_case):
@@ -720,6 +722,25 @@ def test_output_symlink_loop_exits_before_the_engine(
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == f"{loop}: Too many levels of symbolic links"
+    assert set(tmp_path.iterdir()) == before
+
+
+@OUTPUT_FLAGS
+def test_output_in_unwritable_directory_exits_before_the_engine(
+        tmp_path, identity_case, monkeypatch, command, flag):
+    # os.access is patched, so the directory reads as unwritable even when
+    # the tests run as root
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda p, mode, **kw:
+                        Path(p) != locked and access(p, mode, **kw))
+    out = locked / "x.out"
+    argv = argv_writing_to(out, tmp_path, identity_case, command, flag)
+    before = set(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == f"{out}: Permission denied"
     assert set(tmp_path.iterdir()) == before
 
 

@@ -30,9 +30,10 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from revkit import acoustics, prior, rir, stft, vem
-from revkit.cli import IDENTIFY_RIR_DEFAULTS, _effective_config, _synthesize
-from synthcases import blind_case, interior_scores
+from revkit import prior, rir, stft, vem
+from revkit.cli import IDENTIFY_RIR_DEFAULTS, _effective_config
+from synthcases import (blind_case, identify_errors, interior_scores,
+                        output_scores, rir_parameters)
 
 RT60, DRR, CASE_SEED = 0.8, 0.0, 20_000
 CFG = vem.VemConfig(ema=0.7, max_iters=100, threads=2)
@@ -150,43 +151,36 @@ def build_case(cut):
     X = stft.forward(stft.Waveform(reverb))
     oracle = prior.oracle_from_reference(
         stft.Waveform(direct), X.config, X.num_frames)
-    truth = (acoustics.estimate_rt60(true_rir).rt60,
-             acoustics.estimate_drr(true_rir).drr)
-    return X, 1.0 / np.sqrt(oracle.alpha), truth
+    return X, 1.0 / np.sqrt(oracle.alpha), rir_parameters(true_rir)
 
 
-def identify(X, mag, cfg):
-    """Engine run on prior magnitudes ``mag``; the outputs and the RIR."""
-    S_hat, H_hat, trace = vem.run(X, prior.from_magnitude(mag), cfg)
-    return S_hat, H_hat, trace, rir.ctf_to_rir(H_hat)
-
-
-def parameter_errors(name, cfg):
-    """(RT60 s, DRR dB) error of the RIR identified in run ``name``."""
-    cut, perturb = RUNS[name]
-    X, mag, (rt60_true, drr_true) = build_case(cut)
-    *_, est = identify(X, perturb(mag), cfg)
-    return (acoustics.estimate_rt60(est).rt60 - rt60_true,
-            acoustics.estimate_drr(est).drr - drr_true)
-
-
-def dereverb_scores(name, cfg):
-    """(LSD, signed level error) in dB of the dereverberated output of run
-    ``name``, and the LSD of its observation, against the direct path on
-    the interior. The case is not peak-scaled, so the output is
-    synthesized at peak 1."""
+def engine_run(name, cfg):
+    """``vem.run`` on run ``name``'s observation and perturbed prior."""
     cut, perturb = RUNS[name]
     X, mag, _ = build_case(cut)
-    reverb, direct, _ = signals(cut)
-    S_hat, _, _ = vem.run(X, prior.from_magnitude(perturb(mag)), cfg)
-    out = _synthesize(S_hat, 1.0).samples
-    return (*interior_scores(out, direct),
-            interior_scores(reverb[: out.size], direct)[0])
+    return vem.run(X, prior.from_magnitude(perturb(mag)), cfg)
+
+
+def parameter_errors(name, H_hat):
+    """(RT60 s, DRR dB) error of the RIR that run ``name``'s ``H_hat``
+    identifies."""
+    return identify_errors(H_hat, build_case(RUNS[name][0])[2])
+
+
+def dereverb_scores(name, S_hat):
+    """(LSD, signed level error) in dB of run ``name``'s dereverberated
+    output ``S_hat``, and the LSD of its observation, against the direct
+    path on the interior. The case is not peak-scaled, so the output is
+    synthesized at peak 1."""
+    reverb, direct, _ = signals(RUNS[name][0])
+    span = (S_hat.num_frames - 1) * stft.HOP + stft.WIN  # output length
+    return (*output_scores(S_hat, 1.0, direct),
+            interior_scores(reverb[:span], direct)[0])
 
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_degraded_prior_keeps_parameter_errors_bounded(name):
-    rt60_err, drr_err = parameter_errors(name, CFG)
+    rt60_err, drr_err = parameter_errors(name, engine_run(name, CFG)[1])
     rt60_bound, drr_bound = BOUNDS[name]
     assert abs(rt60_err) <= rt60_bound, (name, rt60_err)
     assert abs(drr_err) <= drr_bound, (name, drr_err)
@@ -194,7 +188,8 @@ def test_degraded_prior_keeps_parameter_errors_bounded(name):
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_degraded_prior_at_the_shipped_settings(name):
-    rt60_err, drr_err = parameter_errors(name, SHIPPED)
+    rt60_err, drr_err = parameter_errors(name,
+                                         engine_run(name, SHIPPED)[1])
     rt60_bound, drr_bound = SHIPPED_BOUNDS[name]
     assert abs(rt60_err) <= rt60_bound, (name, rt60_err)
     assert abs(drr_err) <= drr_bound, (name, drr_err)
@@ -202,7 +197,9 @@ def test_degraded_prior_at_the_shipped_settings(name):
 
 def test_observation_as_prior_stays_finite():
     X = build_case(0)[0]
-    S_hat, H_hat, trace, est = identify(X, np.abs(X.data), CFG)
+    S_hat, H_hat, trace = vem.run(X, prior.from_magnitude(np.abs(X.data)),
+                                  CFG)
+    est = rir.ctf_to_rir(H_hat)
     assert np.all(np.isfinite(S_hat.data)) and np.all(np.isfinite(H_hat.h))
     assert np.all(np.isfinite(trace[:, vem.SKIP_LOW_BANDS:]))
     assert np.all(np.isfinite(est.samples))
@@ -210,5 +207,6 @@ def test_observation_as_prior_stays_finite():
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_dereverb_with_a_degraded_prior_lowers_the_lsd(name):
-    lsd_out, _, lsd_in = dereverb_scores(name, vem.VemConfig(threads=2))
+    S_hat = engine_run(name, vem.VemConfig(threads=2))[0]
+    lsd_out, _, lsd_in = dereverb_scores(name, S_hat)
     assert lsd_out < lsd_in, (name, lsd_out, lsd_in)
